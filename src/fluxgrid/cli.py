@@ -21,7 +21,7 @@ from .formats import read_csv, read_fgrd, write_fgrd
 from .grid_core import GridPair, upsample_quadratic
 from .metrics import metric_report
 from .refine import RefineConfig, refine
-from .spectral import ralsd, spectral_loss
+from .spectral import ralsd
 from .supergrid import pde_loss
 from .synth import AdvDiffSpec, GrfSpec, gen_affine, gen_grf, step_advdiff
 
@@ -132,12 +132,7 @@ def cmd_metrics(args):
     t_load = time.perf_counter() - t0
 
     report = metric_report(pred, truth)
-    if pred.height % coarse.height != 0 or pred.width % coarse.width != 0:
-        raise DimensionMismatchError(
-            f"pred dims ({pred.height}, {pred.width}) are not an integer multiple "
-            f"of coarse dims ({coarse.height}, {coarse.width})")
-    pair = GridPair(coarse, pred, pred.height // coarse.height,
-                    pred.width // coarse.width)
+    pair = GridPair.from_grids(coarse, pred)
 
     t1 = time.perf_counter()
     flux = pde_loss(pair, pred, eps=args.eps, cell_override=args.cell,

@@ -13,6 +13,7 @@ Values are truncated to 32-bit on write; re-reading is bitwise stable
 thereafter. CSV stores full doubles with 17 significant digits.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -45,6 +46,11 @@ def read_fgrd(path):
         raise FormatError(f"bad magic {magic!r} at byte 0", offset=0)
     if version != VERSION:
         raise FormatError(f"unsupported version {version} at byte 4", offset=4)
+    for name, spacing, offset in (("dx", dx, 14), ("dy", dy, 22)):
+        if not (math.isfinite(spacing) and spacing > 0):
+            raise FormatError(
+                f"{name}={spacing!r} at byte {offset} must be finite and positive",
+                offset=offset)
     expected = _HEADER.size + height * width * 4
     if len(data) != expected:
         raise FormatError(

@@ -6,6 +6,7 @@ block mean; upscaling is separable quadratic (Lagrange) interpolation of
 cell-center samples, one-sided at the edges.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,9 @@ class Grid2D:
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ValueError(f"grid dims must be positive, got {self.height}x{self.width}")
-        if self.dx <= 0 or self.dy <= 0:
-            raise ValueError(f"grid spacings must be positive, got dx={self.dx}, dy={self.dy}")
+        if not all(math.isfinite(s) and s > 0 for s in (self.dx, self.dy)):
+            raise ValueError(
+                f"grid spacings must be finite and positive, got dx={self.dx}, dy={self.dy}")
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (self.height, self.width):
             raise DimensionMismatchError(
@@ -66,6 +68,15 @@ class GridPair:
                 f"({self.coarse.height}, {self.coarse.width}) times scales "
                 f"({self.scale_y}, {self.scale_x})"
             )
+
+    @classmethod
+    def from_grids(cls, coarse, fine):
+        """Pair grids whose dims nest, inferring the scales."""
+        if fine.height % coarse.height != 0 or fine.width % coarse.width != 0:
+            raise DimensionMismatchError(
+                f"fine dims ({fine.height}, {fine.width}) are not an integer multiple "
+                f"of coarse dims ({coarse.height}, {coarse.width})")
+        return cls(coarse, fine, fine.height // coarse.height, fine.width // coarse.width)
 
 
 def coarsen_block_mean(fine, scale_y, scale_x):

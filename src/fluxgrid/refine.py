@@ -2,19 +2,20 @@
 
 Minimizes  J(T) = mean((T - T_init)**2) + lambda * flux_ratio_loss(T)
 with backtracking line search. The numeric gradient (central differences
-per pixel) is the reference; the analytic gradient hand-backpropagates
-through the gradient stencils, stabilized unit vector, boundary sums,
-and ratio, and is gated on agreement with the numeric one.
+per pixel) is the reference; the analytic one is the hand-coded adjoint
+FluxRatioLoss.adjoint, gated on agreement with the numeric one. refine
+builds the coarse reference once and runs one forward pass per candidate;
+the gradient at an accepted candidate reuses that pass.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceStallError, DimensionMismatchError
-from .findiff import DEFAULT_EPS, gradient_central
+from .errors import ConvergenceStallError
+from .findiff import DEFAULT_EPS
 from .grid_core import Grid2D, GridPair
-from .supergrid import build_partition, cell_fluxes, choose_supergrid, pde_loss
+from .supergrid import FluxRatioLoss, pde_loss
 
 
 @dataclass
@@ -53,98 +54,21 @@ class RefineTrace:
     converged: bool = False
 
 
-def _as_pair(fine, coarse):
-    if fine.height % coarse.height != 0 or fine.width % coarse.width != 0:
-        raise DimensionMismatchError(
-            f"fine dims ({fine.height}, {fine.width}) are not an integer multiple "
-            f"of coarse dims ({coarse.height}, {coarse.width})")
-    return GridPair(coarse, fine, fine.height // coarse.height,
-                    fine.width // coarse.width)
-
-
 def objective(fine, init, coarse, cfg):
     """(total, fidelity, pde) with total = fidelity + lambda * pde."""
-    pair = _as_pair(fine, coarse)
-    fid = float(np.mean((fine.values - init.values) ** 2))
+    pair = GridPair.from_grids(coarse, fine)
+    fid = _fidelity(fine, init)
     pde = pde_loss(pair, fine, eps=cfg.eps, cell_override=cfg.cell_override,
                    ratio_eps=cfg.ratio_eps).loss
     return fid + cfg.lambda_pde * pde, fid, pde
 
 
-def _pde_grad(fine, coarse, cfg):
-    """Adjoint of the flux-ratio loss with respect to the fine field."""
-    pair = _as_pair(fine, coarse)
-    if cfg.cell_override is not None:
-        cell_h, cell_w = cfg.cell_override
-    else:
-        cell_h, cell_w = choose_supergrid(coarse.height, coarse.width)
-    ratio_eps = cfg.eps if cfg.ratio_eps is None else cfg.ratio_eps
+def _fidelity(fine, init):
+    return float(np.mean((fine.values - init.values) ** 2))
 
-    part_c = build_partition(coarse, cell_h, cell_w)
-    r_c = cell_fluxes(coarse, part_c, cfg.eps, ratio_eps).r_eff.ravel()
-    part_f = build_partition(fine, cell_h * pair.scale_y, cell_w * pair.scale_x)
 
-    gf = gradient_central(fine, cfg.eps)
-    ii = part_f.sites[:, :, 0]
-    jj = part_f.sites[:, :, 1]
-    n_x = part_f.sites[:, :, 2]
-    n_y = part_f.sites[:, :, 3]
-    b_len = part_f.sites.shape[1]
-
-    t_b = fine.values[ii, jj]
-    u_dot_n = gf.ux[ii, jj] * n_x + gf.uy[ii, jj] * n_y
-    phi_adv = (t_b * u_dot_n).mean(axis=1)
-    phi_diff = gf.mag[ii, jj].mean(axis=1)
-    denom = phi_diff + ratio_eps
-    r_f = phi_adv / denom
-
-    n_cells = r_f.size
-    g_r = (2.0 / n_cells) * (r_f - r_c)
-    g_adv = g_r / denom
-    g_diff = -g_r * phi_adv / denom ** 2
-
-    # scatter per-site adjoints into field-shaped accumulators
-    shape = (fine.height, fine.width)
-    g_t_direct = np.zeros(shape)
-    g_ux = np.zeros(shape)
-    g_uy = np.zeros(shape)
-    g_mag = np.zeros(shape)
-    np.add.at(g_t_direct, (ii, jj), g_adv[:, None] * u_dot_n / b_len)
-    np.add.at(g_ux, (ii, jj), g_adv[:, None] * t_b * n_x / b_len)
-    np.add.at(g_uy, (ii, jj), g_adv[:, None] * t_b * n_y / b_len)
-    np.add.at(g_mag, (ii, jj), np.broadcast_to((g_diff / b_len)[:, None], t_b.shape))
-
-    # back through ux = gx/(mag+eps), uy = gy/(mag+eps), mag = |grad|
-    m = gf.mag
-    m_safe = np.where(m > 0, m, 1.0)
-    mx = np.where(m > 0, gf.gx / m_safe, 0.0)
-    my = np.where(m > 0, gf.gy / m_safe, 0.0)
-    inv = 1.0 / (m + cfg.eps)
-    inv2 = inv * inv
-    g_gx = (g_ux * (inv - gf.gx * mx * inv2)
-            - g_uy * gf.gy * mx * inv2
-            + g_mag * mx)
-    g_gy = (-g_ux * gf.gx * my * inv2
-            + g_uy * (inv - gf.gy * my * inv2)
-            + g_mag * my)
-
-    # adjoint of the difference stencils (centered interior, one-sided edges)
-    out = g_t_direct
-    dx, dy = fine.dx, fine.dy
-    out[:, 2:] += g_gx[:, 1:-1] / (2.0 * dx)
-    out[:, :-2] -= g_gx[:, 1:-1] / (2.0 * dx)
-    out[:, 1] += g_gx[:, 0] / dx
-    out[:, 0] -= g_gx[:, 0] / dx
-    out[:, -1] += g_gx[:, -1] / dx
-    out[:, -2] -= g_gx[:, -1] / dx
-
-    out[2:, :] += g_gy[1:-1, :] / (2.0 * dy)
-    out[:-2, :] -= g_gy[1:-1, :] / (2.0 * dy)
-    out[1, :] += g_gy[0, :] / dy
-    out[0, :] -= g_gy[0, :] / dy
-    out[-1, :] += g_gy[-1, :] / dy
-    out[-2, :] -= g_gy[-1, :] / dy
-    return out
+def _fidelity_grad(fine, init):
+    return 2.0 * (fine.values - init.values) / (fine.height * fine.width)
 
 
 def gradient(fine, init, coarse, cfg):
@@ -161,53 +85,66 @@ def gradient(fine, init, coarse, cfg):
             vals[idx] = orig
             grad[idx] = (j_plus - j_minus) / (2.0 * cfg.fd_h)
         return grad
-    n_pix = fine.height * fine.width
-    grad = 2.0 * (fine.values - init.values) / n_pix
+    grad = _fidelity_grad(fine, init)
     if cfg.lambda_pde != 0.0:
-        grad = grad + cfg.lambda_pde * _pde_grad(fine, coarse, cfg)
+        pair = GridPair.from_grids(coarse, fine)
+        flux = FluxRatioLoss(pair, cfg.eps, cfg.cell_override, cfg.ratio_eps)
+        result, gf = flux.forward(fine)
+        grad = grad + cfg.lambda_pde * flux.adjoint(fine, result, gf)
     return grad
 
 
 def refine(init, coarse, cfg):
     """Backtracking gradient descent from the initial fine field."""
-    cfg_run = cfg
-    if cfg.normalize_pde and cfg.lambda_pde > 0:
-        _, _, pde0 = objective(init, init, coarse, cfg)
-        if pde0 > 0:
-            cfg_run = replace(cfg, lambda_pde=cfg.lambda_pde / pde0,
-                              normalize_pde=False)
+    pair = GridPair.from_grids(coarse, init)
+    flux = FluxRatioLoss(pair, cfg.eps, cfg.cell_override, cfg.ratio_eps)
 
-    trace = RefineTrace(lambda_used=cfg_run.lambda_pde)
+    def evaluate(fine):  # fidelity, pde_loss result, gradient field
+        result, gf = flux.forward(fine)
+        return _fidelity(fine, init), result, gf
+
+    fid, result, gf = evaluate(init)
+    cfg_run = cfg
+    if cfg.normalize_pde and cfg.lambda_pde > 0 and result.loss > 0:
+        cfg_run = replace(cfg, lambda_pde=cfg.lambda_pde / result.loss,
+                          normalize_pde=False)
+    lam = cfg_run.lambda_pde
+
+    trace = RefineTrace(lambda_used=lam)
     current = init
-    total, fid, pde = objective(current, init, coarse, cfg_run)
+    total = fid + lam * result.loss
     trace.objective.append(total)
     trace.fidelity.append(fid)
-    trace.pde.append(pde)
+    trace.pde.append(result.loss)
 
     for _ in range(cfg_run.max_iters):
         trace.iters_run += 1
-        grad = gradient(current, init, coarse, cfg_run)
+        if cfg_run.grad_mode == "numeric_central":
+            grad = gradient(current, init, coarse, cfg_run)
+        else:
+            grad = _fidelity_grad(current, init)
+            if lam != 0.0:
+                grad = grad + lam * flux.adjoint(current, result, gf)
         if np.max(np.abs(grad)) < 1e-15:
             trace.converged = True
             break
         step = cfg_run.step_size
-        accepted = None
         for _ in range(31):  # initial step plus up to 30 halvings
             cand = current.with_values(current.values - step * grad)
-            cand_total, cand_fid, cand_pde = objective(cand, init, coarse, cfg_run)
-            if cand_total < total:
-                accepted = (cand, cand_total, cand_fid, cand_pde)
+            cand_fid, cand_result, cand_gf = evaluate(cand)
+            new_total = cand_fid + lam * cand_result.loss
+            if new_total < total:
                 break
             step *= 0.5
-        if accepted is None:
+        else:  # no break: every step was rejected
             trace.final_field = current
             raise ConvergenceStallError(
                 f"no descent step found after 30 halvings at iteration "
                 f"{trace.iters_run}", trace)
-        current, new_total, fid, pde = accepted
+        current, fid, result, gf = cand, cand_fid, cand_result, cand_gf
         trace.objective.append(new_total)
         trace.fidelity.append(fid)
-        trace.pde.append(pde)
+        trace.pde.append(result.loss)
         rel_drop = (total - new_total) / max(abs(total), 1e-300)
         total = new_total
         if rel_drop < cfg_run.tol:

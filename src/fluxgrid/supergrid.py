@@ -7,6 +7,10 @@ projected on the outward normal), a diffusive flux (gradient magnitude),
 and their ratio. The multi-scale loss is the mean squared per-cell
 difference between the fine-scale and coarse-scale ratios; it doubles as
 the flux-ratio evaluation metric.
+
+All cells have the same size, so every cell edge is a slice of the block
+view a.reshape(n_rows, cell_h, n_cols, cell_w). The forward pass sums over
+those views and its adjoint (FluxRatioLoss.adjoint) adds into them.
 """
 
 import math
@@ -16,39 +20,31 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .findiff import DEFAULT_EPS, gradient_central
-from .grid_core import coarsen_block_mean
 
 
 @dataclass
 class SupergridPartition:
-    """Equal-cell tiling with explicit boundary sites.
+    """Equal-cell tiling: n_rows x n_cols cells of cell_h x cell_w pixels.
 
-    sites has shape (n_rows*n_cols, boundary_len, 4) holding
-    (i, j, n_x, n_y) per boundary entry. Corner pixels appear once per
-    incident edge, each time with that edge's normal. Entry order per
-    cell: top edge left-to-right, bottom edge left-to-right, left edge
-    top-to-bottom, right edge top-to-bottom.
+    A cell's boundary is its four edges, 2 * (cell_h + cell_w) entries: a
+    pixel on two edges (a corner, or any pixel of a one-pixel-thin cell)
+    counts once per edge, each time with that edge's outward normal.
     """
 
     cell_h: int
     cell_w: int
     n_rows: int
     n_cols: int
-    sites: np.ndarray
 
 
 @dataclass
 class FluxReport:
-    """Per-cell boundary fluxes; arrays have shape (n_rows, n_cols).
-
-    phi_net is the net boundary flux T*(g_hat.n) - grad(T).n, reported
-    for diagnostics only (no loss term consumes it).
-    """
+    """Per-cell boundary means of T * (u . n) and |grad T| and their ratio,
+    each (n_rows, n_cols); u is the stabilized unit gradient."""
 
     phi_adv: np.ndarray
     phi_diff: np.ndarray
     r_eff: np.ndarray
-    phi_net: np.ndarray
     eps: float
 
 
@@ -77,7 +73,7 @@ def choose_supergrid(coarse_h, coarse_w):
 
 
 def build_partition(grid, cell_h, cell_w):
-    """Enumerate boundary sites with outward normals for every cell."""
+    """Tile a grid into equal cell_h x cell_w cells."""
     height, width = grid.height, grid.width
     if cell_h < 1 or cell_w < 1:
         raise ValueError(f"cell dims must be positive, got ({cell_h}, {cell_w})")
@@ -87,21 +83,45 @@ def build_partition(grid, cell_h, cell_w):
     if width % cell_w != 0:
         raise DimensionMismatchError(
             f"cell_w={cell_w} does not divide grid width={width}")
-    n_rows, n_cols = height // cell_h, width // cell_w
+    return SupergridPartition(cell_h, cell_w, height // cell_h, width // cell_w)
 
-    # Template for the cell at origin, then shift per cell.
-    top = [(0, j, 0, -1) for j in range(cell_w)]
-    bottom = [(cell_h - 1, j, 0, 1) for j in range(cell_w)]
-    left = [(i, 0, -1, 0) for i in range(cell_h)]
-    right = [(i, cell_w - 1, 1, 0) for i in range(cell_h)]
-    template = np.array(top + bottom + left + right, dtype=np.int64)
 
-    offsets = np.zeros((n_rows * n_cols, 1, 4), dtype=np.int64)
-    rr, cc = np.divmod(np.arange(n_rows * n_cols), n_cols)
-    offsets[:, 0, 0] = rr * cell_h
-    offsets[:, 0, 1] = cc * cell_w
-    sites = template[None, :, :] + offsets
-    return SupergridPartition(cell_h, cell_w, n_rows, n_cols, sites)
+def _edges(part, a):
+    """Top, bottom, left and right edge of every cell, as views of a field.
+
+    Each has shape (n_rows, n_cols, edge length); if a is C-contiguous,
+    adding into a view adds into a.
+    """
+    b = a.reshape(part.n_rows, part.cell_h, part.n_cols, part.cell_w)
+    return (b[:, 0], b[:, -1],
+            b[..., 0].transpose(0, 2, 1), b[..., -1].transpose(0, 2, 1))
+
+
+# Outward normals of the top, bottom, left and right edge: -y, +y, -x, +x.
+_NORMAL_SIGNS = (-1.0, 1.0, -1.0, 1.0)
+
+
+def _normal_edges(part, ax, ay):
+    """Edges of (ax, ay) along each edge's normal axis: y, y, x, x."""
+    return _edges(part, ay)[:2] + _edges(part, ax)[2:]
+
+
+def _boundary_mean(edges, n_b):
+    return sum(e.sum(axis=-1) for e in edges) / n_b
+
+
+def _fluxes(values, gf, part, ratio_eps, anomaly=False):
+    """Per-cell fluxes of a field whose gradient field gf is already known."""
+    n_b = 2 * (part.cell_h + part.cell_w)
+    t = _edges(part, values)
+    if anomaly:
+        t_mean = _boundary_mean(t, n_b)[..., None]
+        t = [e - t_mean for e in t]
+    u_n = [s * e for s, e in zip(_NORMAL_SIGNS, _normal_edges(part, gf.ux, gf.uy))]
+    phi_adv = _boundary_mean([te * ue for te, ue in zip(t, u_n)], n_b)
+    phi_diff = _boundary_mean(_edges(part, gf.mag), n_b)
+    r_eff = phi_adv / (phi_diff + ratio_eps)
+    return FluxReport(phi_adv=phi_adv, phi_diff=phi_diff, r_eff=r_eff, eps=gf.eps)
 
 
 def cell_fluxes(grid, part, eps=DEFAULT_EPS, ratio_eps=None, anomaly=False):
@@ -117,61 +137,89 @@ def cell_fluxes(grid, part, eps=DEFAULT_EPS, ratio_eps=None, anomaly=False):
             f"grid is {grid.height}x{grid.width}")
     if ratio_eps is None:
         ratio_eps = eps
-    gf = gradient_central(grid, eps)
-    ii = part.sites[:, :, 0]
-    jj = part.sites[:, :, 1]
-    n_x = part.sites[:, :, 2]
-    n_y = part.sites[:, :, 3]
-
-    t_b = grid.values[ii, jj]
-    if anomaly:
-        t_b = t_b - t_b.mean(axis=1, keepdims=True)
-    g_dot_n = gf.ux[ii, jj] * n_x + gf.uy[ii, jj] * n_y
-    grad_dot_n = gf.gx[ii, jj] * n_x + gf.gy[ii, jj] * n_y
-
-    shape = (part.n_rows, part.n_cols)
-    phi_adv = (t_b * g_dot_n).mean(axis=1).reshape(shape)
-    phi_diff = gf.mag[ii, jj].mean(axis=1).reshape(shape)
-    phi_net = (t_b * g_dot_n - grad_dot_n).mean(axis=1).reshape(shape)
-    r_eff = phi_adv / (phi_diff + ratio_eps)
-    return FluxReport(phi_adv=phi_adv, phi_diff=phi_diff, r_eff=r_eff,
-                      phi_net=phi_net, eps=eps)
+    return _fluxes(grid.values, gradient_central(grid, eps), part, ratio_eps, anomaly)
 
 
 def pde_loss(pair, fine_field, eps=DEFAULT_EPS, cell_override=None,
-             ratio_eps=None, anomaly=False, fine_aggregation="perimeter"):
+             ratio_eps=None, anomaly=False):
     """Mean squared per-cell flux-ratio difference between scales.
 
     The same physical tiling is applied to both grids: coarse cell dims
     come from choose_supergrid (or cell_override, in coarse pixels) and
     the fine grid uses those dims times the pair's scales.
-    fine_aggregation="coarsen" instead block-averages the fine field to
-    coarse resolution first and evaluates its ratios on the coarse tiling
-    (non-default alternative reading of multi-scale aggregation).
     """
     if fine_field.height != pair.fine.height or fine_field.width != pair.fine.width:
         raise DimensionMismatchError(
             f"fine field is {fine_field.height}x{fine_field.width}, pair expects "
             f"{pair.fine.height}x{pair.fine.width}")
-    coarse = pair.coarse
-    if cell_override is not None:
-        cell_h, cell_w = cell_override
-    else:
-        cell_h, cell_w = choose_supergrid(coarse.height, coarse.width)
+    loss = FluxRatioLoss(pair, eps, cell_override, ratio_eps, anomaly)
+    return loss.forward(fine_field)[0]
 
-    part_c = build_partition(coarse, cell_h, cell_w)
-    rep_c = cell_fluxes(coarse, part_c, eps, ratio_eps, anomaly)
 
-    if fine_aggregation == "perimeter":
-        part_f = build_partition(fine_field, cell_h * pair.scale_y,
-                                 cell_w * pair.scale_x)
-        rep_f = cell_fluxes(fine_field, part_f, eps, ratio_eps, anomaly)
-    elif fine_aggregation == "coarsen":
-        agg = coarsen_block_mean(fine_field, pair.scale_y, pair.scale_x)
-        rep_f = cell_fluxes(agg, part_c, eps, ratio_eps, anomaly)
-    else:
-        raise ValueError(f"unknown fine_aggregation {fine_aggregation!r}")
+class FluxRatioLoss:
+    """pde_loss of fine fields against one coarse grid, and its adjoint.
 
-    sq = (rep_f.r_eff - rep_c.r_eff) ** 2
-    return PdeLossResult(loss=float(sq.mean()), per_cell_sq_diff=sq,
-                         n_cells=sq.size, coarse_report=rep_c, fine_report=rep_f)
+    The tilings and the coarse report are built once, at construction;
+    adjoint reuses the state of a forward pass instead of running another.
+    """
+
+    def __init__(self, pair, eps=DEFAULT_EPS, cell_override=None, ratio_eps=None,
+                 anomaly=False):
+        coarse = pair.coarse
+        cell_h, cell_w = cell_override or choose_supergrid(coarse.height, coarse.width)
+        part_c = build_partition(coarse, cell_h, cell_w)
+        self.part_f = build_partition(pair.fine, cell_h * pair.scale_y,
+                                      cell_w * pair.scale_x)
+        self.eps = eps
+        self.ratio_eps = eps if ratio_eps is None else ratio_eps
+        self.anomaly = anomaly
+        self.coarse_report = cell_fluxes(coarse, part_c, eps, ratio_eps, anomaly)
+
+    def forward(self, fine):
+        """(PdeLossResult, gradient field) of a field of the pair's fine dims."""
+        gf = gradient_central(fine, self.eps)
+        rep = _fluxes(fine.values, gf, self.part_f, self.ratio_eps, self.anomaly)
+        sq = (rep.r_eff - self.coarse_report.r_eff) ** 2
+        return PdeLossResult(loss=float(sq.mean()), per_cell_sq_diff=sq, n_cells=sq.size,
+                             coarse_report=self.coarse_report, fine_report=rep), gf
+
+    def adjoint(self, fine, result, gf):
+        """Gradient of result.loss with respect to fine; (result, gf) = forward(fine)."""
+        if self.anomaly:
+            raise ValueError("the adjoint is implemented for anomaly=False only")
+        part, rep = self.part_f, result.fine_report
+        n_b = 2 * (part.cell_h + part.cell_w)
+        denom = rep.phi_diff + self.ratio_eps
+        g_r = (2.0 / result.n_cells) * (rep.r_eff - self.coarse_report.r_eff)
+        # per boundary entry: d loss / d(T * u.n) and d loss / d|grad T|
+        g_adv = (g_r / denom / n_b)[..., None]
+        g_diff = (-g_r * rep.phi_adv / denom ** 2 / n_b)[..., None]
+
+        g_t, g_ux, g_uy, g_mag = (np.zeros(fine.values.shape) for _ in range(4))
+        for sign, acc_t, acc_u, t, u in zip(
+                _NORMAL_SIGNS, _edges(part, g_t), _normal_edges(part, g_ux, g_uy),
+                _edges(part, fine.values), _normal_edges(part, gf.ux, gf.uy)):
+            acc_t += sign * g_adv * u
+            acc_u += sign * g_adv * t
+        for acc in _edges(part, g_mag):
+            acc += g_diff
+
+        # back through u = grad T / (|grad T| + eps) and |grad T|:
+        # g_grad = inv * g_u + grad T * (g_mag - inv * (g_u . u)) / |grad T|,
+        # with the last term taken as 0 where |grad T| = 0
+        m = gf.mag
+        inv = 1.0 / (m + self.eps)
+        radial = np.divide(g_mag - inv * (g_ux * gf.ux + g_uy * gf.uy), m,
+                           out=np.zeros_like(m), where=m > 0)
+
+        # back through the difference stencils of gradient_central
+        for g, spacing, axis in ((inv * g_ux + gf.gx * radial, fine.dx, 1),
+                                 (inv * g_uy + gf.gy * radial, fine.dy, 0)):
+            o, g = np.moveaxis(g_t, axis, 1), np.moveaxis(g, axis, 1)
+            o[:, 2:] += g[:, 1:-1] / (2.0 * spacing)
+            o[:, :-2] -= g[:, 1:-1] / (2.0 * spacing)
+            o[:, 1] += g[:, 0] / spacing
+            o[:, 0] -= g[:, 0] / spacing
+            o[:, -1] += g[:, -1] / spacing
+            o[:, -2] -= g[:, -1] / spacing
+        return g_t

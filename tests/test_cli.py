@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -123,6 +124,15 @@ class TestMetrics:
         bad = tmp_path / "bad.fgrd"
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert main(["metrics", str(bad), str(fp), str(cp)]) == 1
+
+    def test_nan_spacing_io_error(self, tmp_path, capsys):
+        fp, cp = write_pair(tmp_path)
+        bad = tmp_path / "nan_dx.fgrd"
+        data = bytearray(fp.read_bytes())
+        data[14:22] = struct.pack("<d", float("nan"))
+        bad.write_bytes(bytes(data))
+        assert main(["metrics", str(bad), str(fp), str(cp)]) == 1
+        assert "byte 14" in capsys.readouterr().err
 
     def test_dim_mismatch_exit_3(self, tmp_path):
         fp, _ = write_pair(tmp_path)

@@ -91,6 +91,18 @@ class TestFgrd:
         with pytest.raises(FileNotFoundError):
             read_fgrd(tmp_path / "nope.fgrd")
 
+    @pytest.mark.parametrize("name, offset", [("dx", 14), ("dy", 22)])
+    @pytest.mark.parametrize("spacing", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_spacing_offset(self, tmp_path, name, offset, spacing):
+        path = tmp_path / "g.fgrd"
+        write_fgrd(grid(np.zeros((2, 2))), path)
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 8] = struct.pack("<d", spacing)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"{name}=.* at byte {offset}") as exc:
+            read_fgrd(path)
+        assert exc.value.offset == offset
+
 
 class TestCsv:
     def test_roundtrip_full_precision(self, tmp_path):

@@ -135,3 +135,10 @@ class TestGrid2D:
     def test_bad_spacing(self):
         with pytest.raises(ValueError):
             Grid2D.from_values(np.zeros((2, 2)), dx=0.0)
+
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf])
+    def test_nonfinite_spacing(self, spacing):
+        with pytest.raises(ValueError, match="finite"):
+            Grid2D.from_values(np.zeros((2, 2)), dx=spacing)
+        with pytest.raises(ValueError, match="finite"):
+            Grid2D.from_values(np.zeros((2, 2)), dy=spacing)

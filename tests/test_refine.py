@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,38 @@ class TestGradient:
             scale = np.abs(g_n).max()
             assert np.abs(g_a - g_n).max() / scale < 1e-4
 
+    @pytest.mark.parametrize("fine_shape, scales, cell", [
+        ((6, 6), (1, 1), (1, 1)),  # 1x1 fine cells
+        ((6, 8), (1, 2), (1, 2)),  # 1x4 fine cells
+        ((8, 6), (2, 1), (2, 1)),  # 4x1 fine cells
+    ])
+    def test_analytic_matches_numeric_thin_cells(self, fine_shape, scales, cell):
+        rng = np.random.default_rng(60)
+        fine = grid(rng.normal(size=fine_shape), dx=0.6, dy=1.7)
+        init = grid(rng.normal(size=fine_shape), dx=0.6, dy=1.7)
+        coarse = coarsen_block_mean(grid(rng.normal(size=fine_shape), dx=0.6, dy=1.7),
+                                    *scales)
+        kwargs = dict(lambda_pde=0.9, normalize_pde=False, cell_override=cell,
+                      ratio_eps=1e-3)
+        g_a = gradient(fine, init, coarse, RefineConfig(**kwargs))
+        g_n = gradient(fine, init, coarse,
+                       RefineConfig(grad_mode="numeric_central", **kwargs))
+        assert np.abs(g_a - g_n).max() / np.abs(g_n).max() < 1e-4
+
+    def test_directional_derivative_512(self):
+        init, coarse = noisy_pair(12, h=512, w=512, scale=4, noise=0.05)
+        fine = init.with_values(init.values + 0.02 * np.random.default_rng(13)
+                                .normal(size=(512, 512)))
+        cfg = RefineConfig(lambda_pde=50.0, normalize_pde=False, cell_override=(4, 4))
+        v = np.random.default_rng(14).normal(size=(512, 512))
+        # the ratio is strongly curved here; h = 1e-4 already costs 7e-4 rel
+        h = 1e-6
+        j_plus = objective(fine.with_values(fine.values + h * v), init, coarse, cfg)[0]
+        j_minus = objective(fine.with_values(fine.values - h * v), init, coarse, cfg)[0]
+        numeric = (j_plus - j_minus) / (2.0 * h)
+        analytic = float(np.sum(gradient(fine, init, coarse, cfg) * v))
+        assert analytic == pytest.approx(numeric, rel=1e-6)
+
 
 class TestRefine:
     def test_objective_monotone_nonincreasing(self):
@@ -138,6 +172,16 @@ class TestRefine:
         cfg = RefineConfig(lambda_pde=0.5, normalize_pde=False, max_iters=1)
         trace = refine(init, coarse, cfg)
         assert trace.lambda_used == 0.5
+
+    def test_trace_matches_public_objective(self):
+        init, coarse = noisy_pair(13, h=32, w=32, scale=4)
+        cfg = RefineConfig(lambda_pde=1.0, max_iters=5, cell_override=(2, 2))
+        trace = refine(init, coarse, cfg)
+        public = replace(cfg, lambda_pde=trace.lambda_used, normalize_pde=False)
+        for k, field in ((0, init), (-1, trace.final_field)):
+            want = objective(field, init, coarse, public)
+            got = (trace.objective[k], trace.fidelity[k], trace.pde[k])
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_stall_carries_trace(self):
         init, coarse = noisy_pair(11)

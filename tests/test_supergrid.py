@@ -24,38 +24,40 @@ class TestChooseSupergrid:
         assert choose_supergrid(7, 5) == (7, 5)
 
 
-class TestBuildPartition:
-    def test_4x4_cells_2x2(self):
-        part = build_partition(grid(np.zeros((4, 4))), 2, 2)
-        assert (part.n_rows, part.n_cols) == (2, 2)
-        assert part.sites.shape == (4, 8, 4)
+def assert_matches_oracle(shape, cell, seed):
+    """cell_fluxes equals the loop oracle, with and without anomaly."""
+    vals = np.random.default_rng(seed).normal(size=shape)
+    g = grid(vals, dx=0.7, dy=1.3)
+    part = build_partition(g, *cell)
+    for anomaly in (False, True):
+        rep = cell_fluxes(g, part, eps=1e-6, anomaly=anomaly)
+        want = oracle_cell_fluxes(vals.tolist(), 0.7, 1.3, *cell, 1e-6,
+                                  anomaly=anomaly)
+        for got, expected in zip((rep.phi_adv, rep.phi_diff, rep.r_eff), want):
+            np.testing.assert_allclose(got.ravel(), expected, rtol=1e-10, atol=1e-14)
+    return rep
 
-    def test_whole_grid_one_cell(self):
-        part = build_partition(grid(np.zeros((3, 5))), 3, 5)
-        assert part.sites.shape == (1, 16, 4)
-        # every site lies on the grid perimeter
-        for i, j, n_x, n_y in part.sites[0]:
-            assert i in (0, 2) or j in (0, 4)
-            assert (abs(n_x), abs(n_y)) in ((1, 0), (0, 1))
+
+class TestBuildPartition:
+    def test_one_pixel_cells_match_oracle(self):
+        # all four edges are the one pixel, counted once per edge with that
+        # edge's normal, so the normals cancel
+        rep = assert_matches_oracle((4, 6), (1, 1), seed=41)
+        assert np.all(rep.phi_adv == 0.0)
+
+    def test_one_row_cells_match_oracle(self):
+        assert_matches_oracle((4, 6), (1, 3), seed=42)
+
+    def test_one_column_cells_match_oracle(self):
+        assert_matches_oracle((6, 4), (3, 1), seed=43)
+
+    def test_whole_grid_cell_matches_oracle(self):
+        rep = assert_matches_oracle((3, 5), (3, 5), seed=44)
+        assert rep.r_eff.shape == (1, 1)
 
     def test_rectangular_cells(self):
         part = build_partition(grid(np.zeros((6, 4))), 3, 2)
         assert (part.n_rows, part.n_cols) == (2, 2)
-
-    def test_corners_twice_with_both_normals(self):
-        part = build_partition(grid(np.zeros((4, 4))), 2, 2)
-        cell = part.sites[0]
-        corner = [(n_x, n_y) for i, j, n_x, n_y in cell if (i, j) == (0, 0)]
-        assert sorted(corner) == [(-1, 0), (0, -1)]
-
-    def test_sites_on_cell_perimeter(self):
-        part = build_partition(grid(np.zeros((6, 6))), 3, 3)
-        for cell_idx in range(part.sites.shape[0]):
-            r, c = divmod(cell_idx, part.n_cols)
-            for i, j, _, _ in part.sites[cell_idx]:
-                on_row_edge = i in (r * 3, r * 3 + 2)
-                on_col_edge = j in (c * 3, c * 3 + 2)
-                assert on_row_edge or on_col_edge
 
     def test_non_divisible(self):
         with pytest.raises(DimensionMismatchError, match="height"):
@@ -160,17 +162,6 @@ class TestPdeLoss:
         pair = make_pair(fine, 2, 2)
         with pytest.raises(DimensionMismatchError, match="fine field"):
             pde_loss(pair, grid(np.zeros((8, 10))))
-
-    def test_coarsen_aggregation_mode(self):
-        rng = np.random.default_rng(27)
-        fine = grid(rng.normal(size=(8, 8)))
-        pair = make_pair(fine, 2, 2)
-        # block-mean of the fine field IS the coarse field, so this mode
-        # gives exactly zero loss for the pair's own fine member
-        res = pde_loss(pair, fine, fine_aggregation="coarsen")
-        assert res.loss == 0.0
-        with pytest.raises(ValueError):
-            pde_loss(pair, fine, fine_aggregation="nope")
 
     def test_random_grids_match_oracle(self):
         rng = np.random.default_rng(31)
