@@ -7,7 +7,7 @@ from .errors import (ConvergenceStallError, CsvParseError,
                      DegenerateSpectrumError, DegenerateVarianceError,
                      DimensionMismatchError, FluxgridError, FormatError,
                      StabilityError, TooSmallGridError)
-from .findiff import DEFAULT_EPS, GradientField, gradient_central, gradient_magnitude
+from .findiff import DEFAULT_EPS, GradientField, gradient_central
 from .formats import read_csv, read_fgrd, write_csv, write_fgrd
 from .grid_core import (Grid2D, GridPair, coarsen_block_mean, make_pair,
                         upsample_quadratic)

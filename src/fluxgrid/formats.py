@@ -10,7 +10,11 @@ FGRD layout (little-endian, normative):
   offset 30  payload height*width f32, row-major
 
 Values are truncated to 32-bit on write; re-reading is bitwise stable
-thereafter. CSV stores full doubles with 17 significant digits.
+thereafter. A zero height or width, a non-finite or non-positive spacing,
+and a NaN or inf in the payload raise FormatError at their byte offset,
+and so does writing a value beyond the f32 range (no file is made). CSV
+stores full doubles with 17 significant digits; a non-finite cell raises
+CsvParseError.
 """
 
 import math
@@ -26,8 +30,22 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHIIdd")  # 30 bytes
 
 
+def _first_nonfinite(values):
+    """Flat index of the first NaN or inf in values, or None."""
+    bad = ~np.isfinite(values)
+    return int(bad.argmax()) if bad.any() else None
+
+
 def write_fgrd(grid, path):
-    payload = grid.values.astype("<f4").tobytes()
+    """Write grid; values beyond the f32 range raise FormatError, no file is made."""
+    with np.errstate(over="ignore"):
+        values = grid.values.astype("<f4")
+    index = _first_nonfinite(values)
+    if index is not None:
+        raise FormatError(
+            f"value {float(grid.values.flat[index])!r} at index {divmod(index, grid.width)} "
+            f"is beyond the f32 range", offset=_HEADER.size + 4 * index)
+    payload = values.tobytes()
     header = _HEADER.pack(MAGIC, VERSION, grid.height, grid.width, grid.dx, grid.dy)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -46,6 +64,9 @@ def read_fgrd(path):
         raise FormatError(f"bad magic {magic!r} at byte 0", offset=0)
     if version != VERSION:
         raise FormatError(f"unsupported version {version} at byte 4", offset=4)
+    for name, size, offset in (("height", height, 6), ("width", width, 10)):
+        if size == 0:
+            raise FormatError(f"{name}=0 at byte {offset} must be positive", offset=offset)
     for name, spacing, offset in (("dx", dx, 14), ("dy", dy, 22)):
         if not (math.isfinite(spacing) and spacing > 0):
             raise FormatError(
@@ -58,6 +79,10 @@ def read_fgrd(path):
             f"file ends at byte {len(data)}",
             offset=min(len(data), expected))
     values = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
+    index = _first_nonfinite(values)
+    if index is not None:
+        offset = _HEADER.size + 4 * index
+        raise FormatError(f"non-finite value {values[index]} at byte {offset}", offset=offset)
     return Grid2D(height, width, dx, dy,
                   values.astype(np.float64).reshape(height, width))
 
@@ -70,7 +95,7 @@ def write_csv(grid, path):
 
 
 def read_csv(path, dx=1.0, dy=1.0):
-    rows = []
+    rows, line_nos = [], []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -90,6 +115,14 @@ def read_csv(path, dx=1.0, dy=1.0):
                     f"row {line_no} has {len(parsed)} cells, expected {len(rows[0])}",
                     row=line_no)
             rows.append(parsed)
+            line_nos.append(line_no)
     if not rows:
         raise CsvParseError("empty CSV grid", row=1)
-    return Grid2D(len(rows), len(rows[0]), dx, dy, np.array(rows))
+    values = np.array(rows)
+    index = _first_nonfinite(values)
+    if index is not None:
+        row, col = line_nos[index // values.shape[1]], index % values.shape[1] + 1
+        raise CsvParseError(
+            f"non-finite cell {values.flat[index]} at row {row}, column {col}",
+            row=row, col=col)
+    return Grid2D(len(rows), len(rows[0]), dx, dy, values)

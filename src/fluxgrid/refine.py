@@ -89,8 +89,8 @@ def gradient(fine, init, coarse, cfg):
     if cfg.lambda_pde != 0.0:
         pair = GridPair.from_grids(coarse, fine)
         flux = FluxRatioLoss(pair, cfg.eps, cfg.cell_override, cfg.ratio_eps)
-        result, gf = flux.forward(fine)
-        grad = grad + cfg.lambda_pde * flux.adjoint(fine, result, gf)
+        result, lines = flux.forward(fine)
+        grad = grad + cfg.lambda_pde * flux.adjoint(fine, result, lines)
     return grad
 
 
@@ -99,11 +99,11 @@ def refine(init, coarse, cfg):
     pair = GridPair.from_grids(coarse, init)
     flux = FluxRatioLoss(pair, cfg.eps, cfg.cell_override, cfg.ratio_eps)
 
-    def evaluate(fine):  # fidelity, pde_loss result, gradient field
-        result, gf = flux.forward(fine)
-        return _fidelity(fine, init), result, gf
+    def evaluate(fine):  # fidelity, pde_loss result, edge lines
+        result, lines = flux.forward(fine)
+        return _fidelity(fine, init), result, lines
 
-    fid, result, gf = evaluate(init)
+    fid, result, lines = evaluate(init)
     cfg_run = cfg
     if cfg.normalize_pde and cfg.lambda_pde > 0 and result.loss > 0:
         cfg_run = replace(cfg, lambda_pde=cfg.lambda_pde / result.loss,
@@ -124,14 +124,14 @@ def refine(init, coarse, cfg):
         else:
             grad = _fidelity_grad(current, init)
             if lam != 0.0:
-                grad = grad + lam * flux.adjoint(current, result, gf)
+                grad = grad + lam * flux.adjoint(current, result, lines)
         if np.max(np.abs(grad)) < 1e-15:
             trace.converged = True
             break
         step = cfg_run.step_size
         for _ in range(31):  # initial step plus up to 30 halvings
             cand = current.with_values(current.values - step * grad)
-            cand_fid, cand_result, cand_gf = evaluate(cand)
+            cand_fid, cand_result, cand_lines = evaluate(cand)
             new_total = cand_fid + lam * cand_result.loss
             if new_total < total:
                 break
@@ -141,7 +141,7 @@ def refine(init, coarse, cfg):
             raise ConvergenceStallError(
                 f"no descent step found after 30 halvings at iteration "
                 f"{trace.iters_run}", trace)
-        current, fid, result, gf = cand, cand_fid, cand_result, cand_gf
+        current, fid, result, lines = cand, cand_fid, cand_result, cand_lines
         trace.objective.append(new_total)
         trace.fidelity.append(fid)
         trace.pde.append(result.loss)

@@ -8,9 +8,15 @@ and their ratio. The multi-scale loss is the mean squared per-cell
 difference between the fine-scale and coarse-scale ratios; it doubles as
 the flux-ratio evaluation metric.
 
-All cells have the same size, so every cell edge is a slice of the block
-view a.reshape(n_rows, cell_h, n_cols, cell_w). The forward pass sums over
-those views and its adjoint (FluxRatioLoss.adjoint) adds into them.
+The fluxes read the field and its gradient on cell edges only, so both
+are evaluated on the edge lines alone: the first and last row of every
+cell row and the first and last column of every cell column
+(findiff.line_gradient, gradient_central's stencils restricted to those
+lines; 25% of the pixels, counted once per direction, for 16x16 cells).
+Per-cell sums add up each cell's stretch of its lines. The adjoint (FluxRatioLoss.adjoint)
+back-propagates on the same lines and adds into the rows and columns the
+stencils read (findiff.line_gradient_adjoint), so a pixel two or more
+pixels away from every edge line never enters.
 """
 
 import math
@@ -19,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .findiff import DEFAULT_EPS, gradient_central
+from .findiff import (DEFAULT_EPS, check_gradient_input, line_gradient,
+                      line_gradient_adjoint)
 
 
 @dataclass
@@ -86,42 +93,108 @@ def build_partition(grid, cell_h, cell_w):
     return SupergridPartition(cell_h, cell_w, height // cell_h, width // cell_w)
 
 
-def _edges(part, a):
-    """Top, bottom, left and right edge of every cell, as views of a field.
+@dataclass
+class _EdgeLines:
+    """The first and last line of every cell along one axis, with the
+    gradient there: the top and bottom rows of the cells (axis 0) or their
+    left and right columns (axis 1).
 
-    Each has shape (n_rows, n_cols, edge length); if a is C-contiguous,
-    adding into a view adds into a.
+    lines lists each such row or column once. first, last and owner index
+    lines by cell, and give each line's cell; first and last coincide for
+    one-pixel-thin cells. t, g_along, g_normal, mag and u (the normal
+    component of the unit vector) hold the lines along axis, and
+    cell_len is the cell extent along a line.
     """
-    b = a.reshape(part.n_rows, part.cell_h, part.n_cols, part.cell_w)
-    return (b[:, 0], b[:, -1],
-            b[..., 0].transpose(0, 2, 1), b[..., -1].transpose(0, 2, 1))
+
+    axis: int
+    lines: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    owner: np.ndarray
+    cell_len: int
+    t: np.ndarray
+    g_along: np.ndarray
+    g_normal: np.ndarray
+    mag: np.ndarray
+    u: np.ndarray
+    d_along: float
+    d_normal: float
 
 
-# Outward normals of the top, bottom, left and right edge: -y, +y, -x, +x.
-_NORMAL_SIGNS = (-1.0, 1.0, -1.0, 1.0)
+def _edge_lines(grid, part, eps):
+    """Horizontal (top, bottom) and vertical (left, right) edge lines of a grid."""
+    check_gradient_input(grid, eps)
+    out = []
+    for axis, cell, n, cell_len, d_along, d_normal in (
+            (0, part.cell_h, part.n_rows, part.cell_w, grid.dx, grid.dy),
+            (1, part.cell_w, part.n_cols, part.cell_h, grid.dy, grid.dx)):
+        within = np.arange(n * cell) % cell  # position of each row or column in its cell
+        lines = np.flatnonzero((within == 0) | (within == cell - 1))
+        first = np.arange(n) * cell
+        t, g_along, g_normal = line_gradient(grid.values, lines, axis, d_along, d_normal)
+        mag = g_along * g_along  # sqrt(g_along**2 + g_normal**2), in place
+        mag += g_normal * g_normal
+        np.sqrt(mag, out=mag)
+        u = mag + eps
+        np.divide(g_normal, u, out=u)
+        out.append(_EdgeLines(
+            axis, lines, np.searchsorted(lines, first),
+            np.searchsorted(lines, first + cell - 1), lines // cell, cell_len,
+            t, g_along, g_normal, mag, u, d_along, d_normal))
+    return out
 
 
-def _normal_edges(part, ax, ay):
-    """Edges of (ax, ay) along each edge's normal axis: y, y, x, x."""
-    return _edges(part, ay)[:2] + _edges(part, ax)[2:]
+def _line_sums(ln, x):
+    """Sums of x, given on the lines, over each cell's stretch of each line:
+    (number of lines, cells along a line)."""
+    if ln.axis == 0:  # einsum: sum over a short last axis is slow
+        return np.einsum("ijk->ij", x.reshape(len(x), -1, ln.cell_len))
+    return np.einsum("ijk->ki", x.reshape(-1, ln.cell_len, x.shape[1]))
 
 
-def _boundary_mean(edges, n_b):
-    return sum(e.sum(axis=-1) for e in edges) / n_b
+def _spread(ln, g):
+    """Adjoint of _line_sums: g (lines, cells) on every entry of its stretch."""
+    if ln.axis == 0:
+        return np.repeat(g, ln.cell_len, axis=1)
+    return np.repeat(g.T, ln.cell_len, axis=0)
 
 
-def _fluxes(values, gf, part, ratio_eps, anomaly=False):
-    """Per-cell fluxes of a field whose gradient field gf is already known."""
-    n_b = 2 * (part.cell_h + part.cell_w)
-    t = _edges(part, values)
+def _boundary_mean(part, lines, xs, outward=False):
+    """Per-cell mean over the four edges of a quantity given as xs on the
+    horizontal and vertical lines. With outward, the first line of a cell
+    (top, left; outward normal -y, -x) counts negated."""
+    sums = []
+    for ln, x in zip(lines, xs):
+        s = _line_sums(ln, x)
+        sums.append(s[ln.last] - s[ln.first] if outward else s[ln.last] + s[ln.first])
+    return (sums[0] + sums[1].T) / (2 * (part.cell_h + part.cell_w))
+
+
+def _boundary_mean_adjoint(part, lines, per_cell, outward=False):
+    """Adjoint of _boundary_mean: the gradient on the lines of a function
+    of it whose gradient with respect to the per-cell means is per_cell."""
+    per_cell = per_cell / (2 * (part.cell_h + part.cell_w))
+    out = []
+    for ln, c in zip(lines, (per_cell, per_cell.T)):
+        g = np.zeros((len(ln.lines), c.shape[1]))
+        g[ln.last] += c
+        g[ln.first] += -c if outward else c
+        out.append(_spread(ln, g))
+    return out
+
+
+def _fluxes(lines, part, eps, ratio_eps, anomaly=False):
+    """Per-cell fluxes from the edge lines of a field."""
+    t = [ln.t for ln in lines]
     if anomaly:
-        t_mean = _boundary_mean(t, n_b)[..., None]
-        t = [e - t_mean for e in t]
-    u_n = [s * e for s, e in zip(_NORMAL_SIGNS, _normal_edges(part, gf.ux, gf.uy))]
-    phi_adv = _boundary_mean([te * ue for te, ue in zip(t, u_n)], n_b)
-    phi_diff = _boundary_mean(_edges(part, gf.mag), n_b)
+        t_mean = _boundary_mean(part, lines, t)
+        t = [x - _spread(ln, c[ln.owner])
+             for x, ln, c in zip(t, lines, (t_mean, t_mean.T))]
+    phi_adv = _boundary_mean(part, lines, [x * ln.u for x, ln in zip(t, lines)],
+                             outward=True)
+    phi_diff = _boundary_mean(part, lines, [ln.mag for ln in lines])
     r_eff = phi_adv / (phi_diff + ratio_eps)
-    return FluxReport(phi_adv=phi_adv, phi_diff=phi_diff, r_eff=r_eff, eps=gf.eps)
+    return FluxReport(phi_adv=phi_adv, phi_diff=phi_diff, r_eff=r_eff, eps=eps)
 
 
 def cell_fluxes(grid, part, eps=DEFAULT_EPS, ratio_eps=None, anomaly=False):
@@ -137,7 +210,7 @@ def cell_fluxes(grid, part, eps=DEFAULT_EPS, ratio_eps=None, anomaly=False):
             f"grid is {grid.height}x{grid.width}")
     if ratio_eps is None:
         ratio_eps = eps
-    return _fluxes(grid.values, gradient_central(grid, eps), part, ratio_eps, anomaly)
+    return _fluxes(_edge_lines(grid, part, eps), part, eps, ratio_eps, anomaly)
 
 
 def pde_loss(pair, fine_field, eps=DEFAULT_EPS, cell_override=None,
@@ -159,8 +232,10 @@ def pde_loss(pair, fine_field, eps=DEFAULT_EPS, cell_override=None,
 class FluxRatioLoss:
     """pde_loss of fine fields against one coarse grid, and its adjoint.
 
-    The tilings and the coarse report are built once, at construction;
-    adjoint reuses the state of a forward pass instead of running another.
+    The tilings and the coarse report are built once, at construction.
+    forward evaluates the gradient on the cell-edge lines only and returns
+    them with the result; adjoint back-propagates on those lines instead of
+    running another forward pass, and is zero off the lines' stencils.
     """
 
     def __init__(self, pair, eps=DEFAULT_EPS, cell_override=None, ratio_eps=None,
@@ -176,50 +251,36 @@ class FluxRatioLoss:
         self.coarse_report = cell_fluxes(coarse, part_c, eps, ratio_eps, anomaly)
 
     def forward(self, fine):
-        """(PdeLossResult, gradient field) of a field of the pair's fine dims."""
-        gf = gradient_central(fine, self.eps)
-        rep = _fluxes(fine.values, gf, self.part_f, self.ratio_eps, self.anomaly)
+        """(PdeLossResult, edge lines) of a field of the pair's fine dims."""
+        lines = _edge_lines(fine, self.part_f, self.eps)
+        rep = _fluxes(lines, self.part_f, self.eps, self.ratio_eps, self.anomaly)
         sq = (rep.r_eff - self.coarse_report.r_eff) ** 2
         return PdeLossResult(loss=float(sq.mean()), per_cell_sq_diff=sq, n_cells=sq.size,
-                             coarse_report=self.coarse_report, fine_report=rep), gf
+                             coarse_report=self.coarse_report, fine_report=rep), lines
 
-    def adjoint(self, fine, result, gf):
-        """Gradient of result.loss with respect to fine; (result, gf) = forward(fine)."""
+    def adjoint(self, fine, result, lines):
+        """Gradient of result.loss with respect to fine; (result, lines) = forward(fine)."""
         if self.anomaly:
             raise ValueError("the adjoint is implemented for anomaly=False only")
         part, rep = self.part_f, result.fine_report
-        n_b = 2 * (part.cell_h + part.cell_w)
         denom = rep.phi_diff + self.ratio_eps
         g_r = (2.0 / result.n_cells) * (rep.r_eff - self.coarse_report.r_eff)
-        # per boundary entry: d loss / d(T * u.n) and d loss / d|grad T|
-        g_adv = (g_r / denom / n_b)[..., None]
-        g_diff = (-g_r * rep.phi_adv / denom ** 2 / n_b)[..., None]
+        # on the lines: d loss / d(T * u.n) and d loss / d|grad T|
+        g_adv = _boundary_mean_adjoint(part, lines, g_r / denom, outward=True)
+        g_mag = _boundary_mean_adjoint(part, lines, -g_r * rep.phi_adv / denom ** 2)
 
-        g_t, g_ux, g_uy, g_mag = (np.zeros(fine.values.shape) for _ in range(4))
-        for sign, acc_t, acc_u, t, u in zip(
-                _NORMAL_SIGNS, _edges(part, g_t), _normal_edges(part, g_ux, g_uy),
-                _edges(part, fine.values), _normal_edges(part, gf.ux, gf.uy)):
-            acc_t += sign * g_adv * u
-            acc_u += sign * g_adv * t
-        for acc in _edges(part, g_mag):
-            acc += g_diff
-
-        # back through u = grad T / (|grad T| + eps) and |grad T|:
-        # g_grad = inv * g_u + grad T * (g_mag - inv * (g_u . u)) / |grad T|,
-        # with the last term taken as 0 where |grad T| = 0
-        m = gf.mag
-        inv = 1.0 / (m + self.eps)
-        radial = np.divide(g_mag - inv * (g_ux * gf.ux + g_uy * gf.uy), m,
-                           out=np.zeros_like(m), where=m > 0)
-
-        # back through the difference stencils of gradient_central
-        for g, spacing, axis in ((inv * g_ux + gf.gx * radial, fine.dx, 1),
-                                 (inv * g_uy + gf.gy * radial, fine.dy, 0)):
-            o, g = np.moveaxis(g_t, axis, 1), np.moveaxis(g, axis, 1)
-            o[:, 2:] += g[:, 1:-1] / (2.0 * spacing)
-            o[:, :-2] -= g[:, 1:-1] / (2.0 * spacing)
-            o[:, 1] += g[:, 0] / spacing
-            o[:, 0] -= g[:, 0] / spacing
-            o[:, -1] += g[:, -1] / spacing
-            o[:, -2] -= g[:, -1] / spacing
-        return g_t
+        grad = np.zeros(fine.values.shape)
+        grad_t = np.zeros(fine.values.shape[::-1])  # columns, as contiguous rows
+        for ln, acc, g_tu, g_m in zip(lines, (grad, grad_t.T), g_adv, g_mag):
+            g_u = g_tu * ln.t
+            # back through u = g_normal / (|grad T| + eps) and |grad T|:
+            # (g_along, g_normal) gets grad T * radial plus inv * g_u on g_normal,
+            # radial = (g_mag - inv * g_u * u) / |grad T|, 0 where |grad T| = 0
+            inv = 1.0 / (ln.mag + self.eps)
+            radial = np.divide(g_m - inv * g_u * ln.u, ln.mag,
+                               out=np.zeros_like(ln.mag), where=ln.mag > 0)
+            line_gradient_adjoint(acc, ln.lines, ln.axis, g_tu * ln.u,
+                                  ln.g_along * radial, inv * g_u + ln.g_normal * radial,
+                                  ln.d_along, ln.d_normal)
+        grad += grad_t.T
+        return grad

@@ -82,6 +82,12 @@ class TestSynth:
         assert main(["synth", "advdiff", "--config", str(conf),
                      "--out-fine", str(tmp_path / "x.fgrd")]) == 2
 
+    def test_beyond_f32_io_error_no_file(self, tmp_path):
+        out = tmp_path / "x.fgrd"
+        assert main(["synth", "grf", "--h", "16", "--w", "16", "--slope", "-2.0",
+                     "--amplitude", "1e39", "--out-fine", str(out)]) == 1
+        assert not out.exists()
+
     def test_scale_must_divide(self, tmp_path):
         assert main(["synth", "grf", "--h", "16", "--w", "16", "--slope", "-2.0",
                      "--scale", "3",
@@ -133,6 +139,31 @@ class TestMetrics:
         bad.write_bytes(bytes(data))
         assert main(["metrics", str(bad), str(fp), str(cp)]) == 1
         assert "byte 14" in capsys.readouterr().err
+
+    def test_nan_payload_io_error(self, tmp_path, capsys):
+        fp, cp = write_pair(tmp_path)
+        bad = tmp_path / "nan.fgrd"
+        data = bytearray(fp.read_bytes())
+        data[30 + 4 * 7:30 + 4 * 8] = struct.pack("<f", float("nan"))
+        bad.write_bytes(bytes(data))
+        assert main(["metrics", str(bad), str(fp), str(cp)]) == 1
+        assert "byte 58" in capsys.readouterr().err
+
+    def test_zero_height_io_error(self, tmp_path, capsys):
+        fp, cp = write_pair(tmp_path)
+        bad = tmp_path / "empty.fgrd"
+        bad.write_bytes(struct.pack("<4sHIIdd", b"FGRD", 1, 0, 32, 1.0, 1.0))
+        assert main(["metrics", str(bad), str(fp), str(cp)]) == 1
+        assert "byte 6" in capsys.readouterr().err
+
+    def test_nan_csv_cell_io_error(self, tmp_path, capsys):
+        fp, cp = write_pair(tmp_path)
+        bad = tmp_path / "nan.csv"
+        rows = [",".join(["1.0"] * 32) for _ in range(32)]
+        rows[4] = "nan," + ",".join(["1.0"] * 31)
+        bad.write_text("\n".join(rows) + "\n")
+        assert main(["metrics", str(bad), str(fp), str(cp)]) == 1
+        assert "row 5, column 1" in capsys.readouterr().err
 
     def test_dim_mismatch_exit_3(self, tmp_path):
         fp, _ = write_pair(tmp_path)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fluxgrid import Grid2D, gen_affine, gradient_central, gradient_magnitude
+from fluxgrid import Grid2D, gen_affine, gradient_central
 from fluxgrid.errors import TooSmallGridError
+from fluxgrid.findiff import line_gradient, line_gradient_adjoint
 
 from oracle import oracle_gradient
 
@@ -83,12 +84,6 @@ def test_translation_invariance_bitwise():
         assert np.array_equal(x, y)
 
 
-def test_magnitude_accessor_matches():
-    rng = np.random.default_rng(11)
-    g = grid(rng.normal(size=(5, 5)))
-    assert np.array_equal(gradient_magnitude(g), gradient_central(g, 1e-3).mag)
-
-
 def test_too_small_grid():
     with pytest.raises(TooSmallGridError):
         gradient_central(grid(np.zeros((1, 5))), eps=1e-6)
@@ -111,3 +106,34 @@ def test_matches_loop_oracle():
         np.testing.assert_allclose(gf.mag, omag, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gf.ux, oux, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gf.uy, ouy, rtol=1e-12, atol=1e-12)
+
+
+# border lines, their neighbours and a repeated line
+LINES = np.array([0, 0, 1, 3, 4, 6])
+
+
+def test_line_gradient_bitwise_equals_gradient_central():
+    vals = np.random.default_rng(17).normal(size=(7, 9))
+    gf = gradient_central(grid(vals, dx=0.6, dy=1.7), eps=1e-6)
+    t, g_along, g_normal = line_gradient(vals, LINES, 0, 0.6, 1.7)
+    assert np.array_equal(t, vals[LINES])
+    assert np.array_equal(g_along, gf.gx[LINES])
+    assert np.array_equal(g_normal, gf.gy[LINES])
+    t, g_along, g_normal = line_gradient(vals, LINES, 1, 1.7, 0.6)
+    assert np.array_equal(t, vals[:, LINES])
+    assert np.array_equal(g_along, gf.gy[:, LINES])
+    assert np.array_equal(g_normal, gf.gx[:, LINES])
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("lines", [LINES, np.arange(7)])
+def test_line_gradient_adjoint_is_transpose(axis, lines):
+    # <J v, w> = <v, J^T w> for the linear map J: a -> line_gradient(a)
+    rng = np.random.default_rng(18)
+    v = rng.normal(size=(7, 7))
+    outputs = line_gradient(v, lines, axis, 0.6, 1.7)
+    w = [rng.normal(size=x.shape) for x in outputs]
+    acc = np.zeros((7, 7))
+    line_gradient_adjoint(acc, lines, axis, w[0].copy(), w[1], w[2], 0.6, 1.7)
+    lhs = sum(float(np.sum(x * y)) for x, y in zip(outputs, w))
+    assert float(np.sum(v * acc)) == pytest.approx(lhs, rel=1e-12)

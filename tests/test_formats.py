@@ -103,6 +103,35 @@ class TestFgrd:
             read_fgrd(path)
         assert exc.value.offset == offset
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_payload_offset(self, tmp_path, bad):
+        path = tmp_path / "g.fgrd"
+        write_fgrd(grid(np.zeros((2, 3))), path)
+        data = bytearray(path.read_bytes())
+        data[30 + 4 * 4:30 + 4 * 6] = struct.pack("<2f", bad, float("nan"))  # (1, 1), (1, 2)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="at byte 46") as exc:
+            read_fgrd(path)
+        assert exc.value.offset == 46
+
+    @pytest.mark.parametrize("height, width, offset", [(0, 3, 6), (2, 0, 10), (0, 0, 6)])
+    def test_zero_dims_offset(self, tmp_path, height, width, offset):
+        path = tmp_path / "g.fgrd"
+        path.write_bytes(struct.pack("<4sHIIdd", b"FGRD", 1, height, width, 1.0, 1.0))
+        with pytest.raises(FormatError, match=f"=0 at byte {offset}") as exc:
+            read_fgrd(path)
+        assert exc.value.offset == offset
+
+    def test_write_beyond_f32_makes_no_file(self, tmp_path):
+        path = tmp_path / "g.fgrd"
+        values = np.zeros((2, 3))
+        values[1, 2] = -1e39
+        values[1, 1] = 3e38  # within range
+        with pytest.raises(FormatError, match=r"-1e\+39 at index \(1, 2\)") as exc:
+            write_fgrd(grid(values), path)
+        assert exc.value.offset == 30 + 4 * 5
+        assert not path.exists()
+
 
 class TestCsv:
     def test_roundtrip_full_precision(self, tmp_path):
@@ -145,3 +174,11 @@ class TestCsv:
         path.write_text("1,2\n\n3,4\n\n")
         back = read_csv(path)
         assert np.array_equal(back.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_nonfinite_cell(self, tmp_path, cell):
+        path = tmp_path / "g.csv"
+        path.write_text(f"1,2\n\n3,{cell}\n")
+        with pytest.raises(CsvParseError, match="row 3, column 2") as exc:
+            read_csv(path)
+        assert (exc.value.row, exc.value.col) == (3, 2)

@@ -5,6 +5,7 @@ from fluxgrid import (Grid2D, GridPair, build_partition, cell_fluxes,
                       choose_supergrid, coarsen_block_mean, gen_grf, GrfSpec,
                       make_pair, pde_loss, upsample_quadratic)
 from fluxgrid.errors import DimensionMismatchError
+from fluxgrid.supergrid import FluxRatioLoss
 
 from oracle import oracle_cell_fluxes, oracle_pde_loss
 
@@ -184,3 +185,26 @@ class TestPdeLoss:
                 pair.coarse.values.tolist(), pair.coarse.dx, pair.coarse.dy,
                 fine.values.tolist(), 1.0, 1.0, ch, cw, sy, sx, 1e-6)
             assert res.loss == pytest.approx(expected, rel=1e-10, abs=1e-14)
+
+
+class TestLocality:
+    def test_pixel_off_the_edge_lines_does_not_enter(self):
+        # fine cells are 8x8; (11, 19) is 3 and 4 pixels from the edge lines
+        # of its cell (rows 8 and 15, columns 16 and 23), so neither the
+        # loss nor the stencils on those lines read it
+        rng = np.random.default_rng(71)
+        fine = grid(rng.normal(size=(32, 32)), dx=0.5, dy=0.8)
+        pair = make_pair(fine, 2, 2)
+        bumped = fine.values.copy()
+        bumped[11, 19] += 10.0
+        bumped = grid(bumped, dx=0.5, dy=0.8)
+        for anomaly in (False, True):
+            a = pde_loss(pair, fine, cell_override=(4, 4), anomaly=anomaly)
+            b = pde_loss(pair, bumped, cell_override=(4, 4), anomaly=anomaly)
+            assert a.loss == b.loss
+        loss = FluxRatioLoss(pair, cell_override=(4, 4))
+        result, lines = loss.forward(fine)
+        g = loss.adjoint(fine, result, lines)
+        assert g[11, 19] == 0.0
+        assert np.all(g[10:14, 18:22] == 0.0)  # the whole 2-pixel interior core
+        assert np.count_nonzero(g[8:16, 16:24]) > 0
