@@ -131,30 +131,35 @@ def cmd_metrics(args):
     coarse = _load_grid(args.coarse)
     t_load = time.perf_counter() - t0
 
+    t1 = time.perf_counter()
     report = metric_report(pred, truth)
+    t_metrics = time.perf_counter() - t1
     pair = GridPair.from_grids(coarse, pred)
 
-    t1 = time.perf_counter()
+    t2 = time.perf_counter()
     flux = pde_loss(pair, pred, eps=args.eps, cell_override=args.cell,
                     ratio_eps=args.ratio_eps, anomaly=args.anomaly)
-    t_flux = time.perf_counter() - t1
+    t_flux = time.perf_counter() - t2
 
-    t2 = time.perf_counter()
+    t3 = time.perf_counter()
     ref = upsample_quadratic(coarse, pair.scale_y, pair.scale_x)
     prof_pred = ralsd(pred, args.fit_lo, args.fit_hi, args.window)
     prof_ref = ralsd(ref, prof_pred.fit_lo, prof_pred.fit_hi, args.window)
     l_spec = abs(prof_pred.alpha - prof_ref.alpha)
-    t_spec = time.perf_counter() - t2
+    t_spec = time.perf_counter() - t3
 
     report.l_flux = flux.loss
     report.l_spec = l_spec
     r_f = flux.fine_report.r_eff
 
+    t4 = time.perf_counter()
+    inputs = {name: {"path": path, "sha256": _sha256(path)}
+              for name, path in (("pred", args.pred), ("truth", args.truth),
+                                 ("coarse", args.coarse))}
+    t_hash = time.perf_counter() - t4
     doc = {
         "tool_version": __version__,
-        "inputs": {name: {"path": path, "sha256": _sha256(path)}
-                   for name, path in (("pred", args.pred), ("truth", args.truth),
-                                      ("coarse", args.coarse))},
+        "inputs": inputs,
         "metrics": {"rmse": report.rmse, "r2": report.r2, "pcc": report.pcc,
                     "bias": report.bias, "n": report.n,
                     "l_flux": report.l_flux, "l_spec": report.l_spec},
@@ -164,7 +169,8 @@ def cmd_metrics(args):
         "spectral": {"alpha_pred": prof_pred.alpha, "alpha_ref": prof_ref.alpha,
                      "l_spec": l_spec,
                      "fit_range": [prof_pred.fit_lo, prof_pred.fit_hi]},
-        "timing": {"load_s": t_load, "flux_s": t_flux, "spectral_s": t_spec},
+        "timing": {"load_s": t_load, "hash_s": t_hash, "metrics_s": t_metrics,
+                   "flux_s": t_flux, "spectral_s": t_spec},
     }
     print(f"RMSE   {report.rmse:.6g}")
     print(f"R2     {report.r2:.6g}")

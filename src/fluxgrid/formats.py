@@ -13,12 +13,14 @@ Values are truncated to 32-bit on write; re-reading is bitwise stable
 thereafter. A zero height or width, a non-finite or non-positive spacing,
 and a NaN or inf in the payload raise FormatError at their byte offset,
 and so does writing a value beyond the f32 range (no file is made). CSV
-stores full doubles with 17 significant digits; a non-finite cell raises
-CsvParseError.
+stores full doubles with 17 significant digits and is read in one C-level
+np.loadtxt pass; only if that fails is it walked cell by cell with float(),
+which raises CsvParseError at the row and column of the fault.
 """
 
 import math
 import struct
+import warnings
 
 import numpy as np
 
@@ -89,14 +91,23 @@ def read_fgrd(path):
 
 def write_csv(grid, path):
     with open(path, "w") as fh:
-        for row in grid.values:
-            fh.write(",".join(format(v, ".17g") for v in row))
-            fh.write("\n")
+        np.savetxt(fh, grid.values, fmt="%.17g", delimiter=",")
 
 
 def read_csv(path, dx=1.0, dy=1.0):
-    rows, line_nos = [], []
     with open(path) as fh:
+        try:
+            with warnings.catch_warnings():  # an empty file warns; the walk raises
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+        except ValueError:
+            values = np.empty(0)
+        if values.size and _first_nonfinite(values) is None:
+            return Grid2D(values.shape[0], values.shape[1], dx, dy, values)
+        # The walk names the fault, or takes what float() takes and loadtxt does
+        # not: lines of spaces, 1_0, non-ASCII digits.
+        fh.seek(0)
+        rows, line_nos = [], []
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -109,6 +109,15 @@ class TestMetrics:
                             "spectral", "timing"}
         assert len(doc["inputs"]["pred"]["sha256"]) == 64
 
+    def test_timing_keys_finite_nonnegative(self, tmp_path):
+        fp, cp = write_pair(tmp_path)
+        out = tmp_path / "report.json"
+        assert main(["metrics", str(fp), str(fp), str(cp), "--out", str(out)]) == 0
+        timing = json.loads(out.read_text())["timing"]
+        assert set(timing) == {"load_s", "hash_s", "metrics_s", "flux_s", "spectral_s"}
+        for seconds in timing.values():
+            assert np.isfinite(seconds) and seconds >= 0.0
+
     def test_deterministic_excluding_timing(self, tmp_path):
         fp, cp = write_pair(tmp_path, seed=2)
         docs = []

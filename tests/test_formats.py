@@ -1,9 +1,11 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from fluxgrid import Grid2D, read_csv, read_fgrd, write_csv, write_fgrd
+from fluxgrid.cli import main
 from fluxgrid.errors import CsvParseError, FormatError
 
 
@@ -182,3 +184,71 @@ class TestCsv:
         with pytest.raises(CsvParseError, match="row 3, column 2") as exc:
             read_csv(path)
         assert (exc.value.row, exc.value.col) == (3, 2)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1,2\n   \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),  # whitespace-only line
+        ("\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        (" 1 ,\t2\n3 , 4 \n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("+1.5,.5\n5.,-0\n", [[1.5, 0.5], [5.0, -0.0]]),
+        ("1_0,2\n", [[10.0, 2.0]]),
+        ("\u0661,\u0662\u0663\n", [[1.0, 23.0]]),  # Arabic-Indic digits
+        ("1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),  # no final newline
+        ("7\n", [[7.0]]),
+        ("1,2,3\n", [[1.0, 2.0, 3.0]]),
+    ])
+    def test_accepted_text(self, tmp_path, text, expected):
+        path = tmp_path / "g.csv"
+        path.write_bytes(text.encode("utf-8"))
+        back = read_csv(path)
+        expected = np.array(expected)
+        assert back.values.shape == expected.shape
+        # bitwise, so -0 stays negative
+        assert back.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text, message, row, col", [
+        ("1,,2\n", "non-numeric cell '' at row 1, column 2", 1, 2),
+        ("1,2,\n", "non-numeric cell '' at row 1, column 3", 1, 3),
+        ("#c\n1\n", "non-numeric cell '#c' at row 1, column 1", 1, 1),
+        ("1,2\n#c\n", "non-numeric cell '#c' at row 2, column 1", 2, 1),
+        ("\ufeff1,2\n", "non-numeric cell '\\ufeff1' at row 1, column 1", 1, 1),
+        ('"1",2\n', "non-numeric cell '\"1\"' at row 1, column 1", 1, 1),
+        ("0x10\n", "non-numeric cell '0x10' at row 1, column 1", 1, 1),
+        ("1;2\n", "non-numeric cell '1;2' at row 1, column 1", 1, 1),
+        ("1e 5\n", "non-numeric cell '1e 5' at row 1, column 1", 1, 1),
+        ("1,2\n3,4,5\n", "row 2 has 3 cells, expected 2", 2, None),
+    ])
+    def test_rejected_text(self, tmp_path, text, message, row, col):
+        path = tmp_path / "g.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(CsvParseError) as exc:
+            read_csv(path)
+        assert str(exc.value) == message
+        assert (exc.value.row, exc.value.col) == (row, col)
+        assert main(["ralsd", str(path)]) == 1
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \n\t\n"])
+    def test_empty_raises_without_warning(self, tmp_path, text):
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvParseError, match="^empty CSV grid$") as exc:
+                read_csv(path)
+        assert (exc.value.row, exc.value.col) == (1, None)
+
+    def test_roundtrip_300x257_bitwise(self, tmp_path):
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(300, 257)) * 10.0 ** rng.integers(-300, 300, size=(300, 257))
+        path = tmp_path / "g.csv"
+        write_csv(grid(values), path)
+        assert read_csv(path).values.tobytes() == values.tobytes()
+
+    def test_write_matches_per_value_format(self, tmp_path):
+        values = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                           [0.1, -2.5, 1e-300]])
+        path = tmp_path / "g.csv"
+        write_csv(grid(values), path)
+        expected = "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                           for row in values)
+        assert path.read_bytes() == expected.encode("ascii")
