@@ -140,6 +140,12 @@ def cmd_metrics(args):
     flux = pde_loss(pair, pred, eps=args.eps, cell_override=args.cell,
                     ratio_eps=args.ratio_eps, anomaly=args.anomaly)
     t_flux = time.perf_counter() - t2
+    r_c = flux.coarse_report.r_eff
+    cell = [coarse.height // r_c.shape[0], coarse.width // r_c.shape[1]]
+    degenerate = bool(np.all(r_c == 0.0))
+    if degenerate:
+        print(f"warning: every coarse {cell[0]}x{cell[1]} cell has r_eff = 0, so L_flux "
+              "ignores the coarse grid; pass --cell CHxCW with larger cells", file=sys.stderr)
 
     t3 = time.perf_counter()
     ref = upsample_quadratic(coarse, pair.scale_y, pair.scale_x)
@@ -163,7 +169,8 @@ def cmd_metrics(args):
         "metrics": {"rmse": report.rmse, "r2": report.r2, "pcc": report.pcc,
                     "bias": report.bias, "n": report.n,
                     "l_flux": report.l_flux, "l_spec": report.l_spec},
-        "flux": {"l_flux": flux.loss, "n_cells": flux.n_cells,
+        "flux": {"l_flux": flux.loss, "n_cells": flux.n_cells, "cell": cell,
+                 "reference_degenerate": degenerate,
                  "r_eff_fine": {"min": float(r_f.min()), "max": float(r_f.max()),
                                 "mean": float(r_f.mean())}},
         "spectral": {"alpha_pred": prof_pred.alpha, "alpha_ref": prof_ref.alpha,

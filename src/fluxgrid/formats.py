@@ -15,7 +15,8 @@ and a NaN or inf in the payload raise FormatError at their byte offset,
 and so does writing a value beyond the f32 range (no file is made). CSV
 stores full doubles with 17 significant digits and is read in one C-level
 np.loadtxt pass; only if that fails is it walked cell by cell with float(),
-which raises CsvParseError at the row and column of the fault.
+which raises CsvParseError at the row and column of the fault, a byte that
+is not text in the file's encoding included.
 """
 
 import math
@@ -95,7 +96,8 @@ def write_csv(grid, path):
 
 
 def read_csv(path, dx=1.0, dy=1.0):
-    with open(path) as fh:
+    # bytes that do not decode become lone surrogates, so no number takes them
+    with open(path, errors="surrogateescape") as fh:
         try:
             with warnings.catch_warnings():  # an empty file warns; the walk raises
                 warnings.simplefilter("ignore", UserWarning)
@@ -118,9 +120,12 @@ def read_csv(path, dx=1.0, dy=1.0):
                 try:
                     parsed.append(float(cell))
                 except ValueError:
-                    raise CsvParseError(
-                        f"non-numeric cell {cell!r} at row {line_no}, column {col_no}",
-                        row=line_no, col=col_no) from None
+                    what = f"non-numeric cell {cell!r}"
+                    if any("\udc80" <= ch <= "\udcff" for ch in cell):
+                        raw = cell.encode(fh.encoding, "surrogateescape")
+                        what = f"non-{fh.encoding} cell {raw!r}"
+                    raise CsvParseError(f"{what} at row {line_no}, column {col_no}",
+                                        row=line_no, col=col_no) from None
             if rows and len(parsed) != len(rows[0]):
                 raise CsvParseError(
                     f"row {line_no} has {len(parsed)} cells, expected {len(rows[0])}",

@@ -5,6 +5,10 @@ integer radius (after scaling the normalized radial wavenumber by the
 shorter axis length), the slope of log10(power) vs log10(k) is fitted by
 ordinary least squares over an inertial range, and the loss between two
 fields is the absolute difference of their fitted slopes.
+
+power_spectrum_2d and radial_profile keep the full k grid; ralsd bins the
+real half-spectrum (rfft2, as |F(-k)| = |F(k)|), each column weighing 2 but
+column 0 and an even width's Nyquist column: the same profile, half the work.
 """
 
 from dataclasses import dataclass
@@ -36,24 +40,25 @@ class SpectrumProfile:
     fit_hi: int | None = None
 
 
+def _spectrum_input(grid, window):
+    """grid.values, Hann-tapered when window is set; small grids raise."""
+    if grid.height < MIN_SPECTRUM_DIM or grid.width < MIN_SPECTRUM_DIM:
+        raise TooSmallGridError(
+            f"spectrum needs at least {MIN_SPECTRUM_DIM}x{MIN_SPECTRUM_DIM}, "
+            f"got {grid.height}x{grid.width}")
+    if not window:
+        return grid.values
+    return grid.values * np.hanning(grid.height)[:, None] * np.hanning(grid.width)[None, :]
+
+
 def power_spectrum_2d(grid, window=False):
     """Squared magnitude of the unnormalized 2-D DFT on the full k grid.
 
     The DC coefficient is kept in the array; radial binning excludes it.
     window=True applies a separable Hann taper first (opt-in; slopes
-    shift slightly under tapering).
+    shift slightly under tapering). ralsd bins the half-spectrum instead.
     """
-    if grid.height < MIN_SPECTRUM_DIM or grid.width < MIN_SPECTRUM_DIM:
-        raise TooSmallGridError(
-            f"spectrum needs at least {MIN_SPECTRUM_DIM}x{MIN_SPECTRUM_DIM}, "
-            f"got {grid.height}x{grid.width}")
-    vals = grid.values
-    if window:
-        wy = np.hanning(grid.height)[:, None]
-        wx = np.hanning(grid.width)[None, :]
-        vals = vals * wy * wx
-    f_hat = np.fft.fft2(vals)
-    return np.abs(f_hat) ** 2
+    return np.abs(np.fft.fft2(_spectrum_input(grid, window))) ** 2
 
 
 def radial_profile(psd, height, width):
@@ -65,17 +70,20 @@ def radial_profile(psd, height, width):
     """
     if psd.shape != (height, width):
         raise ValueError(f"psd shape {psd.shape} does not match ({height}, {width})")
+    return _annuli(psd, height, width, np.fft.fftfreq(width)[None, :], 1)
+
+
+def _annuli(psd, height, width, fx, weights):
+    """radial_profile of psd on the k grid fftfreq(height) x fx, each column
+    counted weights (a scalar or one per column) times; counts stay integers."""
     fy = np.fft.fftfreq(height)[:, None]
-    fx = np.fft.fftfreq(width)[None, :]
-    k = np.sqrt(fx * fx + fy * fy)
     n_short = min(height, width)
-    radius = np.rint(k * n_short).astype(np.int64)
+    radius = np.rint(np.sqrt(fx * fx + fy * fy) * n_short).astype(np.int64).ravel()
 
     n_bins = int(radius.max()) + 1
-    flat_r = radius.ravel()
-    flat_p = psd.ravel()
-    counts = np.bincount(flat_r, minlength=n_bins)
-    sums = np.bincount(flat_r, weights=flat_p, minlength=n_bins)
+    counts = np.bincount(radius, np.broadcast_to(weights, psd.shape).ravel(),
+                         n_bins).astype(np.int64)
+    sums = np.bincount(radius, (psd * weights).ravel(), n_bins)
 
     # drop DC (bin 0) and any empty annuli
     idx = np.arange(1, n_bins)
@@ -116,8 +124,18 @@ def fit_slope(profile, fit_lo, fit_hi):
 
 
 def ralsd(grid, fit_lo=None, fit_hi=None, window=False):
-    """Full radial profile with the slope fit attached."""
-    profile = radial_profile(power_spectrum_2d(grid, window), grid.height, grid.width)
+    """Full radial profile with the slope fit attached.
+
+    The profile is radial_profile(power_spectrum_2d(grid, window)), binned
+    from the real half-spectrum (rfft2) with mirrored-column weights.
+    """
+    f_hat = np.fft.rfft2(_spectrum_input(grid, window))
+    power = np.square(f_hat.real)
+    power += np.square(f_hat.imag)
+    weights = np.full(power.shape[1], 2.0)
+    weights[0], weights[-1] = 1, 1 + grid.width % 2  # even widths: Nyquist is its own mirror
+    profile = _annuli(power, grid.height, grid.width,
+                      np.fft.rfftfreq(grid.width)[None, :], weights)
     if fit_lo is None or fit_hi is None:
         lo, hi = default_fit_range(profile)
         fit_lo = lo if fit_lo is None else fit_lo

@@ -174,6 +174,22 @@ class TestMetrics:
         assert main(["metrics", str(bad), str(fp), str(cp)]) == 1
         assert "row 5, column 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell_args, cell, degenerate", [
+        ([], [1, 1], True),  # the README example: gcd cells of a square coarse grid
+        (["--cell", "4x4"], [4, 4], False),
+    ])
+    def test_reference_degenerate_flag(self, tmp_path, capsys, cell_args, cell, degenerate):
+        fp, cp = write_pair(tmp_path, h=128, w=128)
+        out = tmp_path / "report.json"
+        assert main(["metrics", str(fp), str(fp), str(cp), "--out", str(out), *cell_args]) == 0
+        flux = json.loads(out.read_text())["flux"]
+        assert flux["cell"] == cell
+        assert flux["reference_degenerate"] is degenerate
+        assert flux["n_cells"] == (64 // cell[0]) * (64 // cell[1])
+        err = capsys.readouterr().err
+        assert err.count("warning:") == (1 if degenerate else 0)
+        assert ("--cell" in err) is degenerate
+
     def test_dim_mismatch_exit_3(self, tmp_path):
         fp, _ = write_pair(tmp_path)
         odd = tmp_path / "odd.fgrd"
@@ -256,6 +272,12 @@ class TestRalsd:
         const = tmp_path / "const.csv"
         const.write_text("\n".join(",".join(["2.0"] * 32) for _ in range(32)) + "\n")
         assert main(["ralsd", str(const)]) == 4
+
+    def test_non_utf8_csv_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,2\n\xff,3\n")
+        assert main(["ralsd", str(bad)]) == 1
+        assert "row 2, column 1" in capsys.readouterr().err
 
     def test_tiny_grid_exit_3(self, tmp_path):
         tiny = tmp_path / "tiny.csv"

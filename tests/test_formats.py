@@ -227,6 +227,22 @@ class TestCsv:
         assert (exc.value.row, exc.value.col) == (row, col)
         assert main(["ralsd", str(path)]) == 1
 
+    @pytest.mark.parametrize("data, message, row, col", [
+        (b"1,2\n\xff,3\n", "non-utf-8 cell b'\\xff' at row 2, column 1", 2, 1),
+        (b"1,2\n3,4\xfe\xff\n", "non-utf-8 cell b'4\\xfe\\xff' at row 2, column 2", 2, 2),
+        (b"1,\xc3(\n", "non-utf-8 cell b'\\xc3(' at row 1, column 2", 1, 2),  # cut sequence
+        (b"1,2\r\n\r\n3,\xe9\r\n", "non-utf-8 cell b'\\xe9' at row 3, column 2", 3, 2),
+        (b"1,2\n" * 3000 + b"\x80,1\n", "non-utf-8 cell b'\\x80' at row 3001, column 1",
+         3001, 1),
+    ], ids=["ff", "fe-ff", "cut-sequence", "crlf-latin1", "row-3001"])
+    def test_undecodable_byte(self, tmp_path, data, message, row, col):
+        path = tmp_path / "g.csv"
+        path.write_bytes(data)
+        with pytest.raises(CsvParseError) as exc:
+            read_csv(path)
+        assert str(exc.value) == message
+        assert (exc.value.row, exc.value.col) == (row, col)
+
     @pytest.mark.parametrize("text", ["", "\n\n", " \n\t\n"])
     def test_empty_raises_without_warning(self, tmp_path, text):
         path = tmp_path / "g.csv"

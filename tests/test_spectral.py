@@ -155,3 +155,18 @@ def test_default_fit_range_bounds():
     lo, hi = default_fit_range(prof)
     assert prof.k_bins[lo] * 128 == pytest.approx(4.0)
     assert prof.k_bins[hi] <= 0.25
+
+
+@pytest.mark.parametrize("window", [False, True])
+@pytest.mark.parametrize("shape", [(64, 64), (33, 33), (37, 50), (50, 37), (96, 128)])
+def test_ralsd_half_spectrum_matches_full(shape, window):
+    g = grid(np.random.default_rng(shape[0] * shape[1]).normal(size=shape))
+    half = ralsd(g, window=window)
+    full = radial_profile(power_spectrum_2d(g, window), *shape)
+    np.testing.assert_array_equal(half.k_bins, full.k_bins)
+    np.testing.assert_array_equal(half.counts, full.counts)
+    assert half.counts.dtype.kind == "i"
+    np.testing.assert_allclose(half.psi, full.psi, rtol=1e-12, atol=0.0)
+    alpha, intercept = fit_slope(full, half.fit_lo, half.fit_hi)
+    assert half.alpha == pytest.approx(alpha, abs=1e-12)
+    assert half.intercept == pytest.approx(intercept, abs=1e-12)
