@@ -38,10 +38,10 @@ def check_gradient_input(grid, eps):
             f"gradient needs at least 2x2, got {grid.height}x{grid.width}")
 
 
-def _diff_axis(values, spacing, axis):
+def _diff_axis(values, spacing, axis, out=None):
     """Centered differences along one axis, one-sided first order at the ends."""
     v = np.moveaxis(values, axis, 1)
-    d = np.empty_like(v)
+    d = np.empty_like(v) if out is None else np.moveaxis(out, axis, 1)
     np.subtract(v[:, 2:], v[:, :-2], out=d[:, 1:-1])  # in place: no full-size temporaries
     d[:, 1:-1] /= 2.0 * spacing
     d[:, 0] = (v[:, 1] - v[:, 0]) / spacing
@@ -76,21 +76,22 @@ def _add_lines(acc, lines, axis, vals):
         acc[lines] += vals
 
 
-def line_gradient(a, lines, axis, d_along, d_normal):
+def line_gradient(a, lines, axis, d_along, d_normal, out=(None, None, None)):
     """Some lines of a 2-D array and its derivatives along and across them.
 
     lines indexes a along axis: rows for axis 0, columns for axis 1. The
     stencils are gradient_central's, bitwise: across a line, (a[hi] -
     a[lo]) / ((hi - lo) * d_normal) is centered inside and one-sided at
-    the border. Returns (t, g_along, g_normal), each shaped like the lines.
+    the border. Returns (t, g_along, g_normal), each shaped like the lines,
+    in the arrays of out where given (take's mode="clip" fills them unbuffered).
     """
     lo, hi = _neighbours(lines, a.shape[axis])
     step = np.expand_dims((hi - lo) * d_normal, 1 - axis)
-    g_normal = np.take(a, hi, axis)
-    g_normal -= np.take(a, lo, axis)
+    g_normal = np.take(a, hi, axis, out=out[2], mode="clip")
+    g_normal -= np.take(a, lo, axis, out=out[0], mode="clip")  # out[0] is scratch here
     g_normal /= step
-    t = np.take(a, lines, axis)
-    return t, _diff_axis(t, d_along, 1 - axis), g_normal
+    t = np.take(a, lines, axis, out=out[0], mode="clip")
+    return t, _diff_axis(t, d_along, 1 - axis, out[1]), g_normal
 
 
 def line_gradient_adjoint(acc, lines, axis, g_t, g_along, g_normal, d_along, d_normal):
@@ -103,7 +104,7 @@ def line_gradient_adjoint(acc, lines, axis, g_t, g_along, g_normal, d_along, d_n
     g = g_normal / np.expand_dims((hi - lo) * d_normal, 1 - axis)
     _add_lines(acc, lines, axis, g_t)
     _add_lines(acc, hi, axis, g)
-    _add_lines(acc, lo, axis, -g)
+    _add_lines(acc, lo, axis, np.negative(g, out=g))
 
 
 def gradient_central(grid, eps=DEFAULT_EPS):

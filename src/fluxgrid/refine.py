@@ -5,7 +5,9 @@ with backtracking line search. The numeric gradient (central differences
 per pixel) is the reference; the analytic one is the hand-coded adjoint
 FluxRatioLoss.adjoint, gated on agreement with the numeric one. refine
 builds the coarse reference once and runs one forward pass per candidate;
-the gradient at an accepted candidate reuses that pass.
+the gradient at an accepted candidate reuses that pass. Full-grid arrays are
+allocated once per call; candidates alternate between two buffers, never
+overwriting init.values or the accepted field, and are rejected on overflow.
 """
 
 from dataclasses import dataclass, field, replace
@@ -63,12 +65,16 @@ def objective(fine, init, coarse, cfg):
     return fid + cfg.lambda_pde * pde, fid, pde
 
 
-def _fidelity(fine, init):
-    return float(np.mean((fine.values - init.values) ** 2))
+def _fidelity(fine, init, out=None):
+    diff = np.subtract(fine.values, init.values, out=out)
+    return float(np.mean(np.square(diff, out=diff)))
 
 
-def _fidelity_grad(fine, init):
-    return 2.0 * (fine.values - init.values) / (fine.height * fine.width)
+def _gradient_into(out, fine, init, lam, flux, result, lines):
+    """The objective's analytic gradient, in out; (result, lines) = flux.forward(fine)."""
+    np.subtract(fine.values, init.values, out=out)
+    out *= 2.0 / out.size
+    return out if lam == 0.0 else flux.adjoint(fine, result, lines, out=out, scale=lam)
 
 
 def gradient(fine, init, coarse, cfg):
@@ -85,23 +91,21 @@ def gradient(fine, init, coarse, cfg):
             vals[idx] = orig
             grad[idx] = (j_plus - j_minus) / (2.0 * cfg.fd_h)
         return grad
-    grad = _fidelity_grad(fine, init)
-    if cfg.lambda_pde != 0.0:
-        pair = GridPair.from_grids(coarse, fine)
-        flux = FluxRatioLoss(pair, cfg.eps, cfg.cell_override, cfg.ratio_eps)
-        result, lines = flux.forward(fine)
-        grad = grad + cfg.lambda_pde * flux.adjoint(fine, result, lines)
-    return grad
+    pair = GridPair.from_grids(coarse, fine)
+    flux = FluxRatioLoss(pair, cfg.eps, cfg.cell_override, cfg.ratio_eps)
+    return _gradient_into(np.empty_like(fine.values), fine, init, cfg.lambda_pde, flux,
+                          *flux.forward(fine))
 
 
 def refine(init, coarse, cfg):
     """Backtracking gradient descent from the initial fine field."""
     pair = GridPair.from_grids(coarse, init)
     flux = FluxRatioLoss(pair, cfg.eps, cfg.cell_override, cfg.ratio_eps)
+    grad, scratch, free, spare = (np.empty(init.values.shape) for _ in range(4))
 
     def evaluate(fine):  # fidelity, pde_loss result, edge lines
         result, lines = flux.forward(fine)
-        return _fidelity(fine, init), result, lines
+        return _fidelity(fine, init, scratch), result, lines
 
     fid, result, lines = evaluate(init)
     cfg_run = cfg
@@ -122,26 +126,29 @@ def refine(init, coarse, cfg):
         if cfg_run.grad_mode == "numeric_central":
             grad = gradient(current, init, coarse, cfg_run)
         else:
-            grad = _fidelity_grad(current, init)
-            if lam != 0.0:
-                grad = grad + lam * flux.adjoint(current, result, lines)
-        if np.max(np.abs(grad)) < 1e-15:
+            _gradient_into(grad, current, init, lam, flux, result, lines)
+        if max(grad.max(), -grad.min()) < 1e-15:
             trace.converged = True
             break
-        step = cfg_run.step_size
-        for _ in range(31):  # initial step plus up to 30 halvings
-            cand = current.with_values(current.values - step * grad)
-            cand_fid, cand_result, cand_lines = evaluate(cand)
-            new_total = cand_fid + lam * cand_result.loss
-            if new_total < total:
-                break
-            step *= 0.5
-        else:  # no break: every step was rejected
-            trace.final_field = current
-            raise ConvergenceStallError(
-                f"no descent step found after 30 halvings at iteration "
-                f"{trace.iters_run}", trace)
+        with np.errstate(over="ignore", invalid="ignore"):  # candidates may overflow
+            for k in range(31):  # initial step plus up to 30 halvings
+                step = cfg_run.step_size * 0.5 ** k
+                np.subtract(current.values, np.multiply(grad, step, out=free), out=free)
+                try:
+                    cand = current.with_values(free)
+                except ValueError:  # inf or NaN values: not a descent step
+                    continue
+                cand_fid, cand_result, cand_lines = evaluate(cand)
+                new_total = cand_fid + lam * cand_result.loss
+                if new_total < total:  # False for a NaN or inf total
+                    break
+            else:  # no break: every step was rejected
+                trace.final_field = current
+                raise ConvergenceStallError(
+                    f"no descent step found after 30 halvings at iteration "
+                    f"{trace.iters_run}", trace)
         current, fid, result, lines = cand, cand_fid, cand_result, cand_lines
+        free, spare = spare, free  # the next candidate must not overwrite current
         trace.objective.append(new_total)
         trace.fidelity.append(fid)
         trace.pde.append(result.loss)

@@ -101,9 +101,9 @@ class _EdgeLines:
 
     lines lists each such row or column once. first, last and owner index
     lines by cell, and give each line's cell; first and last coincide for
-    one-pixel-thin cells. t, g_along, g_normal, mag and u (the normal
-    component of the unit vector) hold the lines along axis, and
-    cell_len is the cell extent along a line.
+    one-pixel-thin cells. _edge_lines fills t, g_along, g_normal, mag and u
+    (the normal component of the unit vector) on the lines along axis and d,
+    their spacings along and across; cell_len is a cell's extent along a line.
     """
 
     axis: int
@@ -112,36 +112,40 @@ class _EdgeLines:
     last: np.ndarray
     owner: np.ndarray
     cell_len: int
-    t: np.ndarray
-    g_along: np.ndarray
-    g_normal: np.ndarray
-    mag: np.ndarray
-    u: np.ndarray
-    d_along: float
-    d_normal: float
+    t: np.ndarray = None
+    g_along: np.ndarray = None
+    g_normal: np.ndarray = None
+    mag: np.ndarray = None
+    u: np.ndarray = None
+    d: tuple = None
 
 
-def _edge_lines(grid, part, eps):
-    """Horizontal (top, bottom) and vertical (left, right) edge lines of a grid."""
-    check_gradient_input(grid, eps)
+def _line_tables(part):
+    """The _EdgeLines of part along each axis, with index tables and no values."""
     out = []
-    for axis, cell, n, cell_len, d_along, d_normal in (
-            (0, part.cell_h, part.n_rows, part.cell_w, grid.dx, grid.dy),
-            (1, part.cell_w, part.n_cols, part.cell_h, grid.dy, grid.dx)):
+    for axis, cell, n, cell_len in ((0, part.cell_h, part.n_rows, part.cell_w),
+                                    (1, part.cell_w, part.n_cols, part.cell_h)):
         within = np.arange(n * cell) % cell  # position of each row or column in its cell
         lines = np.flatnonzero((within == 0) | (within == cell - 1))
         first = np.arange(n) * cell
-        t, g_along, g_normal = line_gradient(grid.values, lines, axis, d_along, d_normal)
-        mag = g_along * g_along  # sqrt(g_along**2 + g_normal**2), in place
-        mag += g_normal * g_normal
-        np.sqrt(mag, out=mag)
-        u = mag + eps
-        np.divide(g_normal, u, out=u)
-        out.append(_EdgeLines(
-            axis, lines, np.searchsorted(lines, first),
-            np.searchsorted(lines, first + cell - 1), lines // cell, cell_len,
-            t, g_along, g_normal, mag, u, d_along, d_normal))
+        out.append(_EdgeLines(axis, lines, np.searchsorted(lines, first),
+                              np.searchsorted(lines, first + cell - 1), lines // cell, cell_len))
     return out
+
+
+def _edge_lines(grid, lines, eps):
+    """Fill lines from _line_tables with a grid's values, in their arrays if they have any."""
+    check_gradient_input(grid, eps)
+    for ln, d in zip(lines, ((grid.dx, grid.dy), (grid.dy, grid.dx))):
+        ln.d = d
+        ln.t, ln.g_along, ln.g_normal = line_gradient(grid.values, ln.lines, ln.axis, *d,
+                                                      (ln.t, ln.g_along, ln.g_normal))
+        ln.mag = np.multiply(ln.g_along, ln.g_along, out=ln.mag)  # |grad T|, u as scratch
+        ln.mag += np.multiply(ln.g_normal, ln.g_normal, out=ln.u)
+        np.sqrt(ln.mag, out=ln.mag)
+        ln.u = np.add(ln.mag, eps, out=ln.u)
+        np.divide(ln.g_normal, ln.u, out=ln.u)
+    return lines
 
 
 def _line_sums(ln, x):
@@ -172,14 +176,14 @@ def _boundary_mean(part, lines, xs, outward=False):
 
 def _boundary_mean_adjoint(part, lines, per_cell, outward=False):
     """Adjoint of _boundary_mean: the gradient on the lines of a function
-    of it whose gradient with respect to the per-cell means is per_cell."""
+    of it whose gradient with respect to the per-cell means is per_cell, by (line, cell)."""
     per_cell = per_cell / (2 * (part.cell_h + part.cell_w))
     out = []
     for ln, c in zip(lines, (per_cell, per_cell.T)):
         g = np.zeros((len(ln.lines), c.shape[1]))
         g[ln.last] += c
         g[ln.first] += -c if outward else c
-        out.append(_spread(ln, g))
+        out.append(g)
     return out
 
 
@@ -210,7 +214,7 @@ def cell_fluxes(grid, part, eps=DEFAULT_EPS, ratio_eps=None, anomaly=False):
             f"grid is {grid.height}x{grid.width}")
     if ratio_eps is None:
         ratio_eps = eps
-    return _fluxes(_edge_lines(grid, part, eps), part, eps, ratio_eps, anomaly)
+    return _fluxes(_edge_lines(grid, _line_tables(part), eps), part, eps, ratio_eps, anomaly)
 
 
 def pde_loss(pair, fine_field, eps=DEFAULT_EPS, cell_override=None,
@@ -225,17 +229,16 @@ def pde_loss(pair, fine_field, eps=DEFAULT_EPS, cell_override=None,
         raise DimensionMismatchError(
             f"fine field is {fine_field.height}x{fine_field.width}, pair expects "
             f"{pair.fine.height}x{pair.fine.width}")
-    loss = FluxRatioLoss(pair, eps, cell_override, ratio_eps, anomaly)
-    return loss.forward(fine_field)[0]
+    return FluxRatioLoss(pair, eps, cell_override, ratio_eps, anomaly).forward(fine_field)[0]
 
 
 class FluxRatioLoss:
     """pde_loss of fine fields against one coarse grid, and its adjoint.
 
-    The tilings and the coarse report are built once, at construction.
-    forward evaluates the gradient on the cell-edge lines only and returns
-    them with the result; adjoint back-propagates on those lines instead of
-    running another forward pass, and is zero off the lines' stencils.
+    The tilings, the coarse report and the work arrays are built once. forward
+    evaluates the gradient on the cell-edge lines only and returns them with
+    the result; adjoint back-propagates on those lines instead of running another
+    forward pass, is zero off the lines' stencils and can add into an array.
     """
 
     def __init__(self, pair, eps=DEFAULT_EPS, cell_override=None, ratio_eps=None,
@@ -249,38 +252,47 @@ class FluxRatioLoss:
         self.ratio_eps = eps if ratio_eps is None else ratio_eps
         self.anomaly = anomaly
         self.coarse_report = cell_fluxes(coarse, part_c, eps, ratio_eps, anomaly)
+        self._lines = _line_tables(self.part_f)  # filled by each forward call
+        self._cols = np.empty((pair.fine.width, pair.fine.height))  # columns as rows
 
     def forward(self, fine):
-        """(PdeLossResult, edge lines) of a field of the pair's fine dims."""
-        lines = _edge_lines(fine, self.part_f, self.eps)
+        """(PdeLossResult, edge lines) of a field of the pair's fine dims. The
+        next forward call overwrites the edge lines: take the adjoint before."""
+        lines = _edge_lines(fine, self._lines, self.eps)
         rep = _fluxes(lines, self.part_f, self.eps, self.ratio_eps, self.anomaly)
         sq = (rep.r_eff - self.coarse_report.r_eff) ** 2
         return PdeLossResult(loss=float(sq.mean()), per_cell_sq_diff=sq, n_cells=sq.size,
                              coarse_report=self.coarse_report, fine_report=rep), lines
 
-    def adjoint(self, fine, result, lines):
-        """Gradient of result.loss with respect to fine; (result, lines) = forward(fine)."""
+    def adjoint(self, fine, result, lines, out=None, scale=1.0):
+        """Gradient of result.loss with respect to fine; (result, lines) = forward(fine).
+        scale times it is added into out (a new zero array by default), and out returned."""
         if self.anomaly:
             raise ValueError("the adjoint is implemented for anomaly=False only")
         part, rep = self.part_f, result.fine_report
         denom = rep.phi_diff + self.ratio_eps
-        g_r = (2.0 / result.n_cells) * (rep.r_eff - self.coarse_report.r_eff)
+        g_r = (2.0 * scale / result.n_cells) * (rep.r_eff - self.coarse_report.r_eff)
         # on the lines: d loss / d(T * u.n) and d loss / d|grad T|
         g_adv = _boundary_mean_adjoint(part, lines, g_r / denom, outward=True)
         g_mag = _boundary_mean_adjoint(part, lines, -g_r * rep.phi_adv / denom ** 2)
 
-        grad = np.zeros(fine.values.shape)
-        grad_t = np.zeros(fine.values.shape[::-1])  # columns, as contiguous rows
-        for ln, acc, g_tu, g_m in zip(lines, (grad, grad_t.T), g_adv, g_mag):
-            g_u = g_tu * ln.t
+        out = np.zeros(fine.values.shape) if out is None else out
+        self._cols.fill(0.0)
+        for ln, acc, g_a, g_m in zip(lines, (out, self._cols.T), g_adv, g_mag):
             # back through u = g_normal / (|grad T| + eps) and |grad T|:
             # (g_along, g_normal) gets grad T * radial plus inv * g_u on g_normal,
             # radial = (g_mag - inv * g_u * u) / |grad T|, 0 where |grad T| = 0
-            inv = 1.0 / (ln.mag + self.eps)
-            radial = np.divide(g_m - inv * g_u * ln.u, ln.mag,
-                               out=np.zeros_like(ln.mag), where=ln.mag > 0)
-            line_gradient_adjoint(acc, ln.lines, ln.axis, g_tu * ln.u,
-                                  ln.g_along * radial, inv * g_u + ln.g_normal * radial,
-                                  ln.d_along, ln.d_normal)
-        grad += grad_t.T
-        return grad
+            g_tu, radial = _spread(ln, g_a), _spread(ln, g_m)
+            inv = np.divide(1.0, ln.mag + self.eps)
+            g_u = inv * (g_tu * ln.t)
+            radial -= np.multiply(g_u, ln.u, out=inv)
+            np.divide(radial, ln.mag, out=radial, where=ln.mag > 0)
+            radial[ln.mag == 0] = 0.0
+            g_tu *= ln.u
+            g_along = np.multiply(ln.g_along, radial, out=inv)
+            radial *= ln.g_normal
+            radial += g_u
+            line_gradient_adjoint(acc, ln.lines, ln.axis, g_tu, g_along, radial,
+                                  *ln.d)
+        out += self._cols.T
+        return out

@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,30 @@ class TestRefine:
         assert code == 5
         assert trace.exists()
         assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["1e308", "1e300"])
+    def test_overflowing_step_stalls_quietly(self, tmp_path, capsys, step):
+        # every candidate overflows to inf (1e308) or gives a non-finite
+        # objective (1e300): each is rejected and halved, none is kept
+        assert main(["synth", "grf", "--h", "64", "--w", "64", "--slope", "-2.5",
+                     "--scale", "4", "--out-fine", str(tmp_path / "f.fgrd"),
+                     "--out-coarse", str(tmp_path / "c.fgrd")]) == 0
+        capsys.readouterr()
+        out, trace = tmp_path / "o.fgrd", tmp_path / "trace.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["refine", str(tmp_path / "f.fgrd"), str(tmp_path / "c.fgrd"),
+                         "--cell", "4x4", "--lam", "1000", "--step", step,
+                         "--out", str(out), "--trace", str(trace)])
+        assert code == 5
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: no descent step found ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+        rows = trace.read_text().strip().splitlines()[1:]
+        assert len(rows) == 1  # the initial state only
+        assert all(np.isfinite(float(x)) for x in rows[0].split(","))
 
 
 class TestRalsd:

@@ -200,3 +200,83 @@ class TestRefine:
         else:
             # descent succeeded anyway; the trace must still be coherent
             assert trace.final_field is not None
+
+
+def public_objective(fine, init, coarse, cfg):
+    return objective(fine, init, coarse, cfg)[0]
+
+
+class TestBuffers:
+    """refine reuses its work arrays; the fields it hands out must not move."""
+
+    def test_init_values_unchanged(self):
+        init, coarse = noisy_pair(14, h=32, w=32, scale=4)
+        before = init.values.copy()
+        refine(init, coarse, RefineConfig(max_iters=6, cell_override=(2, 2)))
+        assert np.array_equal(init.values, before)
+
+    def test_final_field_survives_a_later_call(self):
+        init, coarse = noisy_pair(15, h=32, w=32, scale=4)
+        cfg = RefineConfig(max_iters=5, cell_override=(2, 2))
+        first = refine(init, coarse, cfg)
+        kept = first.final_field.values.copy()
+        refine(init, coarse, replace(cfg, max_iters=7))
+        refine(first.final_field, coarse, cfg)
+        assert np.array_equal(first.final_field.values, kept)
+
+    def test_stall_keeps_last_accepted_field(self):
+        # step 1e10 is accepted after halvings for a while, then 30
+        # halvings no longer reach a descent step; every rejected candidate
+        # is written into a work buffer, never into the accepted field
+        init, coarse = noisy_pair(0)
+        before = init.values.copy()
+        cfg = RefineConfig(lambda_pde=1.0, step_size=1e10, tol=0.0, max_iters=200)
+        with pytest.raises(ConvergenceStallError) as info:
+            refine(init, coarse, cfg)
+        trace = info.value.trace
+        assert len(trace.objective) >= 2  # at least one accepted step
+        public = replace(cfg, lambda_pde=trace.lambda_used, normalize_pde=False)
+        assert public_objective(trace.final_field, init, coarse, public) == \
+            pytest.approx(trace.objective[-1], rel=1e-12)
+        assert np.array_equal(init.values, before)
+
+
+def test_trace_matches_plain_loop_oracle():
+    """refine's 10-iteration trace against a loop over the public objective
+    and gradient with the same rule: step_size halved up to 30 times until
+    the objective falls, stop on a relative drop below tol."""
+    init, coarse = noisy_pair(16, h=128, w=128, scale=4)
+    cfg = RefineConfig(lambda_pde=1.0, max_iters=10, cell_override=(4, 4))
+    trace = refine(init, coarse, cfg)
+
+    pde0 = objective(init, init, coarse, replace(cfg, normalize_pde=False))[2]
+    public = replace(cfg, lambda_pde=1.0 / pde0, normalize_pde=False)
+    current = init
+    want = [objective(init, init, coarse, public)]
+    for _ in range(cfg.max_iters):
+        grad = gradient(current, init, coarse, public)
+        if np.abs(grad).max() < 1e-15:
+            break
+        step = cfg.step_size
+        for _ in range(31):
+            cand = current.with_values(current.values - step * grad)
+            got = objective(cand, init, coarse, public)
+            if got[0] < want[-1][0]:
+                break
+            step *= 0.5
+        else:
+            pytest.fail("the oracle loop stalled")
+        rel_drop = (want[-1][0] - got[0]) / abs(want[-1][0])
+        current = cand
+        want.append(got)
+        if rel_drop < cfg.tol:
+            break
+
+    assert trace.lambda_used == pytest.approx(public.lambda_pde, rel=1e-12)
+    assert trace.iters_run == len(want) - 1
+    got = list(zip(trace.objective, trace.fidelity, trace.pde))
+    assert len(got) == len(want)
+    for row, expected in zip(got, want):
+        assert row == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    np.testing.assert_allclose(trace.final_field.values, current.values, rtol=1e-12,
+                               atol=1e-12 * np.abs(current.values).max())

@@ -208,3 +208,28 @@ class TestLocality:
         assert g[11, 19] == 0.0
         assert np.all(g[10:14, 18:22] == 0.0)  # the whole 2-pixel interior core
         assert np.count_nonzero(g[8:16, 16:24]) > 0
+
+
+class TestAdjointInto:
+    @pytest.mark.parametrize("shape, scales, cell", [
+        ((32, 32), (2, 2), (4, 4)),
+        ((6, 6), (1, 1), (1, 1)),  # 1x1 fine cells
+        ((6, 8), (1, 2), (1, 2)),  # 1x4 fine cells
+        ((8, 6), (2, 1), (2, 1)),  # 4x1 fine cells
+    ])
+    def test_adds_scaled_gradient_into_out(self, shape, scales, cell):
+        rng = np.random.default_rng(81)
+        fine = grid(rng.normal(size=shape), dx=0.6, dy=1.7)
+        pair = make_pair(grid(rng.normal(size=shape), dx=0.6, dy=1.7), *scales)
+        pair = GridPair(pair.coarse, fine, *scales)
+        loss = FluxRatioLoss(pair, cell_override=cell, ratio_eps=1e-3)
+        result, lines = loss.forward(fine)
+        plain = loss.adjoint(fine, result, lines)
+        buf0 = rng.normal(size=shape)
+        buf = buf0.copy()
+        got = loss.adjoint(fine, result, lines, out=buf, scale=-2.5)
+        assert got is buf
+        np.testing.assert_allclose(buf, buf0 - 2.5 * plain, rtol=1e-12,
+                                   atol=1e-12 * np.abs(buf0).max())
+        # the lines are left as they were: a second plain call agrees bitwise
+        assert np.array_equal(loss.adjoint(fine, result, lines), plain)
