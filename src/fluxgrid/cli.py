@@ -15,10 +15,11 @@ import numpy as np
 from . import __version__
 from .errors import (ConvergenceStallError, CsvParseError,
                      DegenerateSpectrumError, DegenerateVarianceError,
-                     DimensionMismatchError, FormatError, TooSmallGridError)
+                     DimensionMismatchError, FormatError, StabilityError,
+                     TooSmallGridError)
 from .findiff import DEFAULT_EPS
 from .formats import read_csv, read_fgrd, write_fgrd
-from .grid_core import GridPair, upsample_quadratic
+from .grid_core import Grid2D, GridPair, upsample_quadratic
 from .metrics import metric_report
 from .refine import RefineConfig, refine
 from .spectral import ralsd
@@ -41,10 +42,20 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _load_grid(path, dx=1.0, dy=1.0):
+def _load_grid(path):
     if str(path).endswith(".csv"):
-        return read_csv(path, dx, dy)
+        return read_csv(path)
     return read_fgrd(path)
+
+
+def _pair(coarse, coarse_path, fine):
+    """GridPair of coarse and fine. CSV stores no spacing, so a coarse grid
+    read from CSV takes the fine grid's spacing times the scales."""
+    pair = GridPair.from_grids(coarse, fine)
+    if str(coarse_path).endswith(".csv"):
+        pair.coarse = Grid2D(coarse.height, coarse.width, fine.dx * pair.scale_x,
+                             fine.dy * pair.scale_y, coarse.values)
+    return pair
 
 
 def _parse_cell(text):
@@ -134,7 +145,7 @@ def cmd_metrics(args):
     t1 = time.perf_counter()
     report = metric_report(pred, truth)
     t_metrics = time.perf_counter() - t1
-    pair = GridPair.from_grids(coarse, pred)
+    pair = _pair(coarse, args.coarse, pred)
 
     t2 = time.perf_counter()
     flux = pde_loss(pair, pred, eps=args.eps, cell_override=args.cell,
@@ -148,7 +159,7 @@ def cmd_metrics(args):
               "ignores the coarse grid; pass --cell CHxCW with larger cells", file=sys.stderr)
 
     t3 = time.perf_counter()
-    ref = upsample_quadratic(coarse, pair.scale_y, pair.scale_x)
+    ref = upsample_quadratic(pair.coarse, pair.scale_y, pair.scale_x)
     prof_pred = ralsd(pred, args.fit_lo, args.fit_hi, args.window)
     prof_ref = ralsd(ref, prof_pred.fit_lo, prof_pred.fit_hi, args.window)
     l_spec = abs(prof_pred.alpha - prof_ref.alpha)
@@ -208,7 +219,7 @@ def cmd_refine(args):
                        fd_h=args.fd_h, tol=args.tol, eps=args.eps,
                        cell_override=args.cell)
     try:
-        trace = refine(init, coarse, cfg)
+        trace = refine(init, _pair(coarse, args.coarse, init).coarse, cfg)
     except ConvergenceStallError as exc:
         if args.trace and exc.trace is not None:
             _write_trace_csv(exc.trace, args.trace)
@@ -347,7 +358,7 @@ def main(argv=None):
     except ConvergenceStallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STALL
-    except ValueError as exc:
+    except (ValueError, StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,23 +1,23 @@
 """Gradient-descent refinement of a fine field.
 
 Minimizes  J(T) = mean((T - T_init)**2) + lambda * flux_ratio_loss(T)
-with backtracking line search. The numeric gradient (central differences
-per pixel) is the reference; the analytic one is the hand-coded adjoint
-FluxRatioLoss.adjoint, gated on agreement with the numeric one. refine
-builds the coarse reference once and runs one forward pass per candidate;
-the gradient at an accepted candidate reuses that pass. Full-grid arrays are
+with backtracking line search. objective, gradient and refine evaluate J
+through one _Objective, which builds the grid pair and the FluxRatioLoss
+once per call. Its numeric gradient (central differences per pixel over
+that J) is the reference; the analytic one, FluxRatioLoss.adjoint of the
+last evaluation, is gated on agreement with it. Full-grid arrays are
 allocated once per call; candidates alternate between two buffers, never
 overwriting init.values or the accepted field, and are rejected on overflow.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceStallError
 from .findiff import DEFAULT_EPS
 from .grid_core import Grid2D, GridPair
-from .supergrid import FluxRatioLoss, pde_loss
+from .supergrid import FluxRatioLoss
 
 
 @dataclass
@@ -56,90 +56,84 @@ class RefineTrace:
     converged: bool = False
 
 
+class _Objective:
+    """J = fidelity + lam * pde_loss of fields of fine's geometry, for one init
+    and coarse grid; lam starts at cfg.lambda_pde."""
+
+    def __init__(self, fine, init, coarse, cfg):
+        self.flux = FluxRatioLoss(GridPair.from_grids(coarse, fine), cfg.eps,
+                                  cfg.cell_override, cfg.ratio_eps)
+        self.init, self.cfg, self.lam = init, cfg, cfg.lambda_pde
+        self._diff = np.empty(fine.values.shape)
+
+    def __call__(self, fine):
+        """(total, fidelity, PdeLossResult) at fine."""
+        diff = np.subtract(fine.values, self.init.values, out=self._diff)
+        fid = float(np.mean(np.square(diff, out=diff)))
+        result = self.flux.forward(fine)
+        return fid + self.lam * result.loss, fid, result
+
+    def gradient_into(self, out, fine):
+        """J's gradient at fine, in out. The analytic one back-propagates the
+        last evaluation, which must have been at fine."""
+        if self.cfg.grad_mode == "numeric_central":
+            h, vals = self.cfg.fd_h, fine.values.copy()
+            for idx in np.ndindex(out.shape):
+                orig = vals[idx]
+                vals[idx] = orig + h
+                j_plus = self(fine.with_values(vals))[0]
+                vals[idx] = orig - h
+                j_minus = self(fine.with_values(vals))[0]
+                vals[idx] = orig
+                out[idx] = (j_plus - j_minus) / (2.0 * h)
+            return out
+        np.subtract(fine.values, self.init.values, out=out)
+        out *= 2.0 / out.size
+        return out if self.lam == 0.0 else self.flux.adjoint(out, scale=self.lam)
+
+
 def objective(fine, init, coarse, cfg):
     """(total, fidelity, pde) with total = fidelity + lambda * pde."""
-    pair = GridPair.from_grids(coarse, fine)
-    fid = _fidelity(fine, init)
-    pde = pde_loss(pair, fine, eps=cfg.eps, cell_override=cfg.cell_override,
-                   ratio_eps=cfg.ratio_eps).loss
-    return fid + cfg.lambda_pde * pde, fid, pde
-
-
-def _fidelity(fine, init, out=None):
-    diff = np.subtract(fine.values, init.values, out=out)
-    return float(np.mean(np.square(diff, out=diff)))
-
-
-def _gradient_into(out, fine, init, lam, flux, result, lines):
-    """The objective's analytic gradient, in out; (result, lines) = flux.forward(fine)."""
-    np.subtract(fine.values, init.values, out=out)
-    out *= 2.0 / out.size
-    return out if lam == 0.0 else flux.adjoint(fine, result, lines, out=out, scale=lam)
+    total, fid, result = _Objective(fine, init, coarse, cfg)(fine)
+    return total, fid, result.loss
 
 
 def gradient(fine, init, coarse, cfg):
     """Gradient of the composite objective with respect to the fine field."""
-    if cfg.grad_mode == "numeric_central":
-        grad = np.zeros((fine.height, fine.width))
-        vals = fine.values.copy()
-        for idx in np.ndindex(grad.shape):
-            orig = vals[idx]
-            vals[idx] = orig + cfg.fd_h
-            j_plus, _, _ = objective(fine.with_values(vals), init, coarse, cfg)
-            vals[idx] = orig - cfg.fd_h
-            j_minus, _, _ = objective(fine.with_values(vals), init, coarse, cfg)
-            vals[idx] = orig
-            grad[idx] = (j_plus - j_minus) / (2.0 * cfg.fd_h)
-        return grad
-    pair = GridPair.from_grids(coarse, fine)
-    flux = FluxRatioLoss(pair, cfg.eps, cfg.cell_override, cfg.ratio_eps)
-    return _gradient_into(np.empty_like(fine.values), fine, init, cfg.lambda_pde, flux,
-                          *flux.forward(fine))
+    obj = _Objective(fine, init, coarse, cfg)
+    if cfg.grad_mode == "analytic":
+        obj(fine)  # the forward pass the adjoint back-propagates
+    return obj.gradient_into(np.empty_like(fine.values), fine)
 
 
 def refine(init, coarse, cfg):
     """Backtracking gradient descent from the initial fine field."""
-    pair = GridPair.from_grids(coarse, init)
-    flux = FluxRatioLoss(pair, cfg.eps, cfg.cell_override, cfg.ratio_eps)
-    grad, scratch, free, spare = (np.empty(init.values.shape) for _ in range(4))
-
-    def evaluate(fine):  # fidelity, pde_loss result, edge lines
-        result, lines = flux.forward(fine)
-        return _fidelity(fine, init, scratch), result, lines
-
-    fid, result, lines = evaluate(init)
-    cfg_run = cfg
+    obj = _Objective(init, init, coarse, cfg)
+    grad, free, spare = (np.empty(init.values.shape) for _ in range(3))
+    _, fid, result = obj(init)
     if cfg.normalize_pde and cfg.lambda_pde > 0 and result.loss > 0:
-        cfg_run = replace(cfg, lambda_pde=cfg.lambda_pde / result.loss,
-                          normalize_pde=False)
-    lam = cfg_run.lambda_pde
+        obj.lam = cfg.lambda_pde / result.loss
+    total = fid + obj.lam * result.loss
 
-    trace = RefineTrace(lambda_used=lam)
+    trace = RefineTrace(objective=[total], fidelity=[fid], pde=[result.loss],
+                        lambda_used=obj.lam)
     current = init
-    total = fid + lam * result.loss
-    trace.objective.append(total)
-    trace.fidelity.append(fid)
-    trace.pde.append(result.loss)
 
-    for _ in range(cfg_run.max_iters):
+    for _ in range(cfg.max_iters):
         trace.iters_run += 1
-        if cfg_run.grad_mode == "numeric_central":
-            grad = gradient(current, init, coarse, cfg_run)
-        else:
-            _gradient_into(grad, current, init, lam, flux, result, lines)
+        obj.gradient_into(grad, current)
         if max(grad.max(), -grad.min()) < 1e-15:
             trace.converged = True
             break
         with np.errstate(over="ignore", invalid="ignore"):  # candidates may overflow
             for k in range(31):  # initial step plus up to 30 halvings
-                step = cfg_run.step_size * 0.5 ** k
+                step = cfg.step_size * 0.5 ** k
                 np.subtract(current.values, np.multiply(grad, step, out=free), out=free)
                 try:
                     cand = current.with_values(free)
                 except ValueError:  # inf or NaN values: not a descent step
                     continue
-                cand_fid, cand_result, cand_lines = evaluate(cand)
-                new_total = cand_fid + lam * cand_result.loss
+                new_total, fid, result = obj(cand)
                 if new_total < total:  # False for a NaN or inf total
                     break
             else:  # no break: every step was rejected
@@ -147,14 +141,14 @@ def refine(init, coarse, cfg):
                 raise ConvergenceStallError(
                     f"no descent step found after 30 halvings at iteration "
                     f"{trace.iters_run}", trace)
-        current, fid, result, lines = cand, cand_fid, cand_result, cand_lines
+        current = cand
         free, spare = spare, free  # the next candidate must not overwrite current
         trace.objective.append(new_total)
         trace.fidelity.append(fid)
         trace.pde.append(result.loss)
         rel_drop = (total - new_total) / max(abs(total), 1e-300)
         total = new_total
-        if rel_drop < cfg_run.tol:
+        if rel_drop < cfg.tol:
             trace.converged = True
             break
 

@@ -13,10 +13,11 @@ are evaluated on the edge lines alone: the first and last row of every
 cell row and the first and last column of every cell column
 (findiff.line_gradient, gradient_central's stencils restricted to those
 lines; 25% of the pixels, counted once per direction, for 16x16 cells).
-Per-cell sums add up each cell's stretch of its lines. The adjoint (FluxRatioLoss.adjoint)
-back-propagates on the same lines and adds into the rows and columns the
-stencils read (findiff.line_gradient_adjoint), so a pixel two or more
-pixels away from every edge line never enters.
+Per-cell sums add up each cell's stretch of its lines. A FluxRatioLoss keeps
+the lines of its last forward call; its adjoint back-propagates on them and
+adds into the rows and columns the stencils read
+(findiff.line_gradient_adjoint), so a pixel two or more pixels away from
+every edge line never enters.
 """
 
 import math
@@ -229,16 +230,17 @@ def pde_loss(pair, fine_field, eps=DEFAULT_EPS, cell_override=None,
         raise DimensionMismatchError(
             f"fine field is {fine_field.height}x{fine_field.width}, pair expects "
             f"{pair.fine.height}x{pair.fine.width}")
-    return FluxRatioLoss(pair, eps, cell_override, ratio_eps, anomaly).forward(fine_field)[0]
+    return FluxRatioLoss(pair, eps, cell_override, ratio_eps, anomaly).forward(fine_field)
 
 
 class FluxRatioLoss:
     """pde_loss of fine fields against one coarse grid, and its adjoint.
 
     The tilings, the coarse report and the work arrays are built once. forward
-    evaluates the gradient on the cell-edge lines only and returns them with
-    the result; adjoint back-propagates on those lines instead of running another
-    forward pass, is zero off the lines' stencils and can add into an array.
+    evaluates the gradient on the cell-edge lines only and keeps them with its
+    fine report; adjoint back-propagates the last forward call on those lines
+    instead of running another forward pass, is zero off the lines' stencils
+    and can add into an array.
     """
 
     def __init__(self, pair, eps=DEFAULT_EPS, cell_override=None, ratio_eps=None,
@@ -256,27 +258,28 @@ class FluxRatioLoss:
         self._cols = np.empty((pair.fine.width, pair.fine.height))  # columns as rows
 
     def forward(self, fine):
-        """(PdeLossResult, edge lines) of a field of the pair's fine dims. The
-        next forward call overwrites the edge lines: take the adjoint before."""
-        lines = _edge_lines(fine, self._lines, self.eps)
-        rep = _fluxes(lines, self.part_f, self.eps, self.ratio_eps, self.anomaly)
+        """PdeLossResult of a field of the pair's fine dims; the next call
+        overwrites the edge lines, so take this one's adjoint before."""
+        _edge_lines(fine, self._lines, self.eps)
+        self._rep = rep = _fluxes(self._lines, self.part_f, self.eps, self.ratio_eps,
+                                  self.anomaly)
         sq = (rep.r_eff - self.coarse_report.r_eff) ** 2
         return PdeLossResult(loss=float(sq.mean()), per_cell_sq_diff=sq, n_cells=sq.size,
-                             coarse_report=self.coarse_report, fine_report=rep), lines
+                             coarse_report=self.coarse_report, fine_report=rep)
 
-    def adjoint(self, fine, result, lines, out=None, scale=1.0):
-        """Gradient of result.loss with respect to fine; (result, lines) = forward(fine).
-        scale times it is added into out (a new zero array by default), and out returned."""
+    def adjoint(self, out=None, scale=1.0):
+        """Gradient of the last forward call's loss with respect to its field. scale
+        times it is added into out (a new zero array by default), and out returned."""
         if self.anomaly:
             raise ValueError("the adjoint is implemented for anomaly=False only")
-        part, rep = self.part_f, result.fine_report
+        part, lines, rep = self.part_f, self._lines, self._rep
         denom = rep.phi_diff + self.ratio_eps
-        g_r = (2.0 * scale / result.n_cells) * (rep.r_eff - self.coarse_report.r_eff)
+        g_r = (2.0 * scale / rep.r_eff.size) * (rep.r_eff - self.coarse_report.r_eff)
         # on the lines: d loss / d(T * u.n) and d loss / d|grad T|
         g_adv = _boundary_mean_adjoint(part, lines, g_r / denom, outward=True)
         g_mag = _boundary_mean_adjoint(part, lines, -g_r * rep.phi_adv / denom ** 2)
 
-        out = np.zeros(fine.values.shape) if out is None else out
+        out = np.zeros(self._cols.T.shape) if out is None else out
         self._cols.fill(0.0)
         for ln, acc, g_a, g_m in zip(lines, (out, self._cols.T), g_adv, g_mag):
             # back through u = g_normal / (|grad T| + eps) and |grad T|:

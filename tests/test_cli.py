@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fluxgrid import Grid2D, GrfSpec, coarsen_block_mean, gen_grf, read_fgrd, write_fgrd
+from fluxgrid import (Grid2D, GrfSpec, coarsen_block_mean, gen_grf, read_fgrd, write_csv,
+                      write_fgrd)
 from fluxgrid.cli import main
 
 
@@ -87,6 +88,14 @@ class TestSynth:
         out = tmp_path / "x.fgrd"
         assert main(["synth", "grf", "--h", "16", "--w", "16", "--slope", "-2.0",
                      "--amplitude", "1e39", "--out-fine", str(out)]) == 1
+        assert not out.exists()
+
+    def test_unstable_advdiff_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.fgrd"
+        assert main(["synth", "advdiff", "--h", "32", "--w", "32", "--ux", "50",
+                     "--steps", "2", "--out-fine", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "advective CFL" in err
         assert not out.exists()
 
     def test_scale_must_divide(self, tmp_path):
@@ -190,6 +199,27 @@ class TestMetrics:
         err = capsys.readouterr().err
         assert err.count("warning:") == (1 if degenerate else 0)
         assert ("--cell" in err) is degenerate
+
+    def test_csv_coarse_takes_the_fine_spacing(self, tmp_path):
+        # CSV stores no spacing: the coarse grid must be read at 4x the
+        # fine spacing, as the FGRD coarse grid is, not at spacing 1
+        assert main(["synth", "grf", "--h", "64", "--w", "64", "--slope", "-2.5",
+                     "--scale", "4", "--out-fine", str(tmp_path / "f.fgrd"),
+                     "--out-coarse", str(tmp_path / "c.fgrd")]) == 0
+        l_flux = {}
+        for ext in ("fgrd", "csv"):
+            paths = []
+            for name in ("f", "c"):
+                path = tmp_path / f"{name}.{ext}"
+                if ext == "csv":
+                    write_csv(read_fgrd(tmp_path / f"{name}.fgrd"), path)
+                paths.append(str(path))
+            out = tmp_path / f"{ext}.json"
+            assert main(["metrics", paths[0], paths[0], paths[1], "--cell", "4x4",
+                         "--out", str(out)]) == 0
+            l_flux[ext] = json.loads(out.read_text())["metrics"]["l_flux"]
+        assert l_flux["fgrd"] > 1.0
+        assert l_flux["csv"] == l_flux["fgrd"]
 
     def test_dim_mismatch_exit_3(self, tmp_path):
         fp, _ = write_pair(tmp_path)

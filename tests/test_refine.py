@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -200,6 +201,70 @@ class TestRefine:
         else:
             # descent succeeded anyway; the trace must still be coherent
             assert trace.final_field is not None
+
+
+class TestNumericPath:
+    """The numeric_central gradient is a central-difference loop over the
+    public objective, also inside refine with a normalized lambda."""
+
+    def test_gradient_is_a_loop_over_objective(self):
+        rng = np.random.default_rng(90)
+        fine, init = grid(rng.normal(size=(8, 8))), grid(rng.normal(size=(8, 8)))
+        coarse = coarsen_block_mean(grid(rng.normal(size=(8, 8))), 2, 2)
+        cfg = RefineConfig(lambda_pde=0.7, normalize_pde=False,
+                           grad_mode="numeric_central")
+        want = np.zeros((8, 8))
+        for idx in np.ndindex(want.shape):
+            vals = fine.values.copy()
+            vals[idx] = fine.values[idx] + cfg.fd_h
+            j_plus = objective(fine.with_values(vals), init, coarse, cfg)[0]
+            vals[idx] = fine.values[idx] - cfg.fd_h
+            j_minus = objective(fine.with_values(vals), init, coarse, cfg)[0]
+            want[idx] = (j_plus - j_minus) / (2.0 * cfg.fd_h)
+        got = gradient(fine, init, coarse, cfg)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_gradient_builds_one_loss(self, monkeypatch):
+        built = []
+        for module in (sys.modules["fluxgrid.refine"], sys.modules["fluxgrid.supergrid"]):
+            class Counting(module.FluxRatioLoss):
+                def __init__(self, *args, **kwargs):
+                    built.append(1)
+                    super().__init__(*args, **kwargs)
+            monkeypatch.setattr(module, "FluxRatioLoss", Counting)
+        rng = np.random.default_rng(91)
+        init = grid(rng.normal(size=(8, 8)))
+        coarse = coarsen_block_mean(grid(rng.normal(size=(8, 8))), 2, 2)
+        gradient(init, init, coarse, RefineConfig(grad_mode="numeric_central"))
+        assert len(built) == 1
+
+    def test_refine_first_step_with_normalized_lambda(self):
+        rng = np.random.default_rng(92)
+        init = grid(rng.normal(size=(8, 8)))
+        coarse = coarsen_block_mean(grid(rng.normal(size=(8, 8))), 2, 2)
+        cfg = RefineConfig(lambda_pde=1.0, max_iters=1, grad_mode="numeric_central")
+        trace = refine(init, coarse, cfg)
+        pde0 = objective(init, init, coarse, cfg)[2]
+        assert trace.lambda_used == pytest.approx(1.0 / pde0, rel=1e-12)
+        assert trace.lambda_used != 1.0
+
+        public = replace(cfg, lambda_pde=trace.lambda_used, normalize_pde=False)
+        j0 = objective(init, init, coarse, public)
+        grad = gradient(init, init, coarse, public)
+        step = cfg.step_size
+        for _ in range(31):
+            cand = init.with_values(init.values - step * grad)
+            got = objective(cand, init, coarse, public)
+            if got[0] < j0[0]:
+                break
+            step *= 0.5
+        else:
+            pytest.fail("the public loop stalled")
+        assert trace.iters_run == 1 and len(trace.objective) == 2
+        assert (trace.objective[1], trace.fidelity[1], trace.pde[1]) == \
+            pytest.approx(got, rel=1e-12, abs=1e-300)
+        np.testing.assert_allclose(trace.final_field.values, cand.values, rtol=1e-12,
+                                   atol=1e-12 * np.abs(cand.values).max())
 
 
 def public_objective(fine, init, coarse, cfg):

@@ -203,8 +203,8 @@ class TestLocality:
             b = pde_loss(pair, bumped, cell_override=(4, 4), anomaly=anomaly)
             assert a.loss == b.loss
         loss = FluxRatioLoss(pair, cell_override=(4, 4))
-        result, lines = loss.forward(fine)
-        g = loss.adjoint(fine, result, lines)
+        loss.forward(fine)
+        g = loss.adjoint()
         assert g[11, 19] == 0.0
         assert np.all(g[10:14, 18:22] == 0.0)  # the whole 2-pixel interior core
         assert np.count_nonzero(g[8:16, 16:24]) > 0
@@ -223,13 +223,13 @@ class TestAdjointInto:
         pair = make_pair(grid(rng.normal(size=shape), dx=0.6, dy=1.7), *scales)
         pair = GridPair(pair.coarse, fine, *scales)
         loss = FluxRatioLoss(pair, cell_override=cell, ratio_eps=1e-3)
-        result, lines = loss.forward(fine)
-        plain = loss.adjoint(fine, result, lines)
+        loss.forward(fine)
+        plain = loss.adjoint()
         buf0 = rng.normal(size=shape)
         buf = buf0.copy()
-        got = loss.adjoint(fine, result, lines, out=buf, scale=-2.5)
+        got = loss.adjoint(out=buf, scale=-2.5)
         assert got is buf
         np.testing.assert_allclose(buf, buf0 - 2.5 * plain, rtol=1e-12,
                                    atol=1e-12 * np.abs(buf0).max())
         # the lines are left as they were: a second plain call agrees bitwise
-        assert np.array_equal(loss.adjoint(fine, result, lines), plain)
+        assert np.array_equal(loss.adjoint(), plain)
