@@ -19,7 +19,7 @@ from .errors import (ConvergenceStallError, CsvParseError,
                      TooSmallGridError)
 from .findiff import DEFAULT_EPS
 from .formats import read_csv, read_fgrd, write_fgrd
-from .grid_core import Grid2D, GridPair, upsample_quadratic
+from .grid_core import Grid2D, GridPair, make_pair, upsample_quadratic
 from .metrics import metric_report
 from .refine import RefineConfig, refine
 from .spectral import ralsd
@@ -125,7 +125,6 @@ def cmd_synth(args):
     if fine.height % scale != 0 or fine.width % scale != 0:
         raise DimensionMismatchError(
             f"scale {scale} does not divide dims {fine.height}x{fine.width}")
-    from .grid_core import make_pair
     pair = make_pair(fine, scale, scale)
     write_fgrd(pair.fine, args.out_fine)
     _print_field_summary("fine", pair.fine)
@@ -145,6 +144,7 @@ def cmd_metrics(args):
     t1 = time.perf_counter()
     report = metric_report(pred, truth)
     t_metrics = time.perf_counter() - t1
+    del truth  # its memory serves the passes below
     pair = _pair(coarse, args.coarse, pred)
 
     t2 = time.perf_counter()
@@ -165,8 +165,7 @@ def cmd_metrics(args):
     l_spec = abs(prof_pred.alpha - prof_ref.alpha)
     t_spec = time.perf_counter() - t3
 
-    report.l_flux = flux.loss
-    report.l_spec = l_spec
+    report.l_flux, report.l_spec = flux.loss, l_spec
     r_f = flux.fine_report.r_eff
 
     t4 = time.perf_counter()
@@ -177,9 +176,7 @@ def cmd_metrics(args):
     doc = {
         "tool_version": __version__,
         "inputs": inputs,
-        "metrics": {"rmse": report.rmse, "r2": report.r2, "pcc": report.pcc,
-                    "bias": report.bias, "n": report.n,
-                    "l_flux": report.l_flux, "l_spec": report.l_spec},
+        "metrics": vars(report),
         "flux": {"l_flux": flux.loss, "n_cells": flux.n_cells, "cell": cell,
                  "reference_degenerate": degenerate,
                  "r_eff_fine": {"min": float(r_f.min()), "max": float(r_f.max()),
@@ -190,12 +187,9 @@ def cmd_metrics(args):
         "timing": {"load_s": t_load, "hash_s": t_hash, "metrics_s": t_metrics,
                    "flux_s": t_flux, "spectral_s": t_spec},
     }
-    print(f"RMSE   {report.rmse:.6g}")
-    print(f"R2     {report.r2:.6g}")
-    print(f"PCC    {report.pcc:.6g}")
-    print(f"Bias   {report.bias:.6g}")
-    print(f"L_flux {report.l_flux:.6g}")
-    print(f"L_spec {report.l_spec:.6g}")
+    for label, key in (("RMSE", "rmse"), ("R2", "r2"), ("PCC", "pcc"), ("Bias", "bias"),
+                       ("L_flux", "l_flux"), ("L_spec", "l_spec")):
+        print(f"{label:<7}{doc['metrics'][key]:.6g}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

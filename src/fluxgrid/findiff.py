@@ -29,10 +29,16 @@ class GradientField:
     eps: float
 
 
+def check_stabilizer(name, value):
+    """value, if it is finite and > 0; else raise."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
 def check_gradient_input(grid, eps):
-    """Raise unless eps > 0 and the grid is at least 2x2."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    """Raise unless eps is finite and > 0 and the grid is at least 2x2."""
+    check_stabilizer("eps", eps)
     if grid.height < 2 or grid.width < 2:
         raise TooSmallGridError(
             f"gradient needs at least 2x2, got {grid.height}x{grid.width}")

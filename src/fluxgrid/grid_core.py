@@ -112,17 +112,28 @@ def _quad_weights_1d(n_coarse, scale):
         wts = np.zeros((3, n_fine))
         wts[1] = 1.0
         return idx, wts
-    if n_coarse == 2:
-        # linear through the two samples
-        t = u  # relative to sample 0
+    if n_coarse == 2:  # linear through the two samples, u relative to sample 0
         idx = np.vstack([np.zeros(n_fine, int), np.zeros(n_fine, int), np.ones(n_fine, int)])
-        wts = np.vstack([np.zeros(n_fine), 1.0 - t, t])
-        return idx, wts
+        return idx, np.vstack([np.zeros(n_fine), 1.0 - u, u])
     center = np.clip(np.rint(u).astype(int), 1, n_coarse - 2)
     t = u - center
     idx = np.vstack([center - 1, center, center + 1])
     wts = np.vstack([0.5 * t * (t - 1.0), (1.0 - t) * (1.0 + t), 0.5 * t * (t + 1.0)])
     return idx, wts
+
+
+def _upsample_axis(vals, scale, axis):
+    """Quadratic interpolation of vals along axis (0 or 1) by scale. The stencil
+    is the same for every fine sample of a block, so only coarse lines are
+    gathered, each broadcast over its block with (n, scale) weights."""
+    n = vals.shape[axis]
+    idx, wts = _quad_weights_1d(n, scale)
+    lines = [np.expand_dims(np.take(vals, i, axis), axis + 1) for i in idx[:, ::scale]]
+    wts = wts.reshape((3, n, scale) + (1,) * (1 - axis))
+    out, tmp = lines[0] * wts[0], lines[1] * wts[1]
+    out += tmp
+    out += np.multiply(lines[2], wts[2], out=tmp)
+    return out.reshape(n * scale if axis == 0 else vals.shape[0], -1)
 
 
 def upsample_quadratic(coarse, scale_y, scale_x):
@@ -132,13 +143,7 @@ def upsample_quadratic(coarse, scale_y, scale_x):
     """
     if scale_y < 1 or scale_x < 1:
         raise ValueError(f"scales must be >= 1, got ({scale_y}, {scale_x})")
-    vals = coarse.values
-    idx, wts = _quad_weights_1d(coarse.width, scale_x)
-    vals = (vals[:, idx[0]] * wts[0] + vals[:, idx[1]] * wts[1]
-            + vals[:, idx[2]] * wts[2])
-    idx, wts = _quad_weights_1d(coarse.height, scale_y)
-    vals = (vals[idx[0], :] * wts[0][:, None] + vals[idx[1], :] * wts[1][:, None]
-            + vals[idx[2], :] * wts[2][:, None])
+    vals = _upsample_axis(_upsample_axis(coarse.values, scale_x, 1), scale_y, 0)
     return Grid2D(coarse.height * scale_y, coarse.width * scale_x,
                   coarse.dx / scale_x, coarse.dy / scale_y, vals)
 

@@ -24,57 +24,60 @@ class MetricReport:
     l_spec: float | None = None
 
 
-def _check_dims(pred, truth):
+def _sums(pred, truth, centred=True):
+    """One pass over a grid pair: [rmse, bias, the sum of squared errors and, if
+    centred, the dots (p.p, t.t, p.t) of the mean-removed fields, else None]."""
     if (pred.height, pred.width) != (truth.height, truth.width):
         raise DimensionMismatchError(
             f"pred is {pred.height}x{pred.width}, truth is {truth.height}x{truth.width}")
+    pv, tv = pred.values.ravel(), truth.values.ravel()
+    diff = pv - tv
+    ss_res = float(np.einsum("i,i", diff, diff))  # not np.dot: BLAS may start threads
+    sums = [float(np.sqrt(ss_res / diff.size)), float(np.mean(diff)), ss_res, None]
+    if centred:
+        p = pv - pv.mean()
+        t = np.subtract(tv, tv.mean(), out=diff)
+        sums[3] = tuple(float(np.einsum("i,i", a, b)) for a, b in ((p, p), (t, t), (p, t)))
+    return sums
+
+
+def _r_squared(ss_res, ss_tot):
+    if ss_tot == 0:
+        raise DegenerateVarianceError("truth field is constant; R^2 undefined")
+    return 1.0 - ss_res / ss_tot
+
+
+def _pearson(pp, tt, pt):
+    if pp == 0:
+        raise DegenerateVarianceError("pred field is constant; PCC undefined")
+    if tt == 0:
+        raise DegenerateVarianceError("truth field is constant; PCC undefined")
+    return float(np.clip(pt / (np.sqrt(pp) * np.sqrt(tt)), -1.0, 1.0))
 
 
 def rmse(pred, truth):
     """Root mean squared pixel error."""
-    _check_dims(pred, truth)
-    diff = pred.values - truth.values
-    return float(np.sqrt(np.mean(diff * diff)))
+    return _sums(pred, truth, centred=False)[0]
 
 
 def bias(pred, truth):
     """Mean signed pixel error."""
-    _check_dims(pred, truth)
-    return float(np.mean(pred.values - truth.values))
+    return _sums(pred, truth, centred=False)[1]
 
 
 def r_squared(pred, truth):
     """Coefficient of determination against the truth mean; can be negative."""
-    _check_dims(pred, truth)
-    t = truth.values
-    ss_res = np.sum((pred.values - t) ** 2)
-    ss_tot = np.sum((t - t.mean()) ** 2)
-    if ss_tot == 0:
-        raise DegenerateVarianceError("truth field is constant; R^2 undefined")
-    return float(1.0 - ss_res / ss_tot)
+    _, _, ss_res, (_, tt, _) = _sums(pred, truth)
+    return _r_squared(ss_res, tt)
 
 
 def pearson(pred, truth):
     """Pearson correlation, clamped to [-1, 1] against rounding."""
-    _check_dims(pred, truth)
-    p = pred.values - pred.values.mean()
-    t = truth.values - truth.values.mean()
-    denom_p = np.sqrt(np.sum(p * p))
-    denom_t = np.sqrt(np.sum(t * t))
-    if denom_p == 0:
-        raise DegenerateVarianceError("pred field is constant; PCC undefined")
-    if denom_t == 0:
-        raise DegenerateVarianceError("truth field is constant; PCC undefined")
-    r = np.sum(p * t) / (denom_p * denom_t)
-    return float(np.clip(r, -1.0, 1.0))
+    return _pearson(*_sums(pred, truth)[3])
 
 
 def metric_report(pred, truth):
-    """All four statistical metrics in one pass."""
-    return MetricReport(
-        rmse=rmse(pred, truth),
-        r2=r_squared(pred, truth),
-        pcc=pearson(pred, truth),
-        bias=bias(pred, truth),
-        n=pred.height * pred.width,
-    )
+    """All four statistical metrics from one pass over the pair."""
+    rmse_, bias_, ss_res, (pp, tt, pt) = _sums(pred, truth)
+    return MetricReport(rmse=rmse_, r2=_r_squared(ss_res, tt), pcc=_pearson(pp, tt, pt),
+                        bias=bias_, n=pred.height * pred.width)

@@ -35,10 +35,11 @@ class RefineConfig:
     normalize_pde: bool = True
 
     def __post_init__(self):
-        if self.lambda_pde < 0:
-            raise ValueError(f"lambda_pde must be >= 0, got {self.lambda_pde}")
-        if self.step_size <= 0 or self.fd_h <= 0:
-            raise ValueError("step_size and fd_h must be positive")
+        for name, low in (("lambda_pde", ">= 0"), ("tol", ">= 0"),
+                          ("step_size", "> 0"), ("fd_h", "> 0")):
+            value = getattr(self, name)
+            if not np.isfinite(value) or value < 0 or (value == 0 and low == "> 0"):
+                raise ValueError(f"{name} must be finite and {low}, got {value}")
         if self.grad_mode not in ("analytic", "numeric_central"):
             raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
 

@@ -11,6 +11,7 @@ real half-spectrum (rfft2, as |F(-k)| = |F(k)|), each column weighing 2 but
 column 0 and an even width's Nyquist column: the same profile, half the work.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,31 +71,35 @@ def radial_profile(psd, height, width):
     """
     if psd.shape != (height, width):
         raise ValueError(f"psd shape {psd.shape} does not match ({height}, {width})")
-    return _annuli(psd, height, width, np.fft.fftfreq(width)[None, :], 1)
+    return _annuli(psd, height, width, half=False)
 
 
-def _annuli(psd, height, width, fx, weights):
-    """radial_profile of psd on the k grid fftfreq(height) x fx, each column
-    counted weights (a scalar or one per column) times; counts stay integers."""
+@functools.lru_cache(maxsize=4)
+def _annulus_table(height, width, half):
+    """Read-only (radius bin of each k, column weights, weighted bin counts) on the
+    k grid fftfreq(height) x fftfreq(width), or x rfftfreq(width) if half, where
+    each column but 0 and an even width's Nyquist column also counts its mirror."""
+    fx = (np.fft.rfftfreq if half else np.fft.fftfreq)(width)[None, :]
     fy = np.fft.fftfreq(height)[:, None]
-    n_short = min(height, width)
-    radius = np.rint(np.sqrt(fx * fx + fy * fy) * n_short).astype(np.int64).ravel()
+    radius = np.rint(np.sqrt(fx * fx + fy * fy) * min(height, width)).astype(np.int64).ravel()
+    weights = np.full(fx.size, 1.0 + half)
+    weights[0], weights[-1] = 1, 1 + half * (width % 2)
+    table = radius, weights, np.bincount(radius, np.tile(weights, height)).astype(np.int64)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
-    n_bins = int(radius.max()) + 1
-    counts = np.bincount(radius, np.broadcast_to(weights, psd.shape).ravel(),
-                         n_bins).astype(np.int64)
-    sums = np.bincount(radius, (psd * weights).ravel(), n_bins)
+
+def _annuli(power, height, width, half):
+    """SpectrumProfile of power, already weighted, on _annulus_table's k grid."""
+    radius, _, counts = _annulus_table(height, width, half)
+    n_short = min(height, width)
+    sums = np.bincount(radius, power.ravel(), counts.size)
 
     # drop DC (bin 0) and any empty annuli
-    idx = np.arange(1, n_bins)
-    keep = counts[idx] > 0
-    idx = idx[keep]
-    return SpectrumProfile(
-        k_bins=idx.astype(np.float64) / n_short,
-        psi=sums[idx] / counts[idx],
-        counts=counts[idx],
-        n_short=n_short,
-    )
+    idx = np.flatnonzero(counts[1:]) + 1
+    return SpectrumProfile(k_bins=idx.astype(np.float64) / n_short, psi=sums[idx] / counts[idx],
+                           counts=counts[idx], n_short=n_short)
 
 
 def default_fit_range(profile):
@@ -111,6 +116,9 @@ def default_fit_range(profile):
 
 def fit_slope(profile, fit_lo, fit_hi):
     """OLS slope of log10(psi) against log10(k) over bins [fit_lo, fit_hi]."""
+    last = len(profile.psi) - 1
+    if not 0 <= fit_lo <= fit_hi <= last:
+        raise ValueError(f"fit range [{fit_lo}, {fit_hi}] is not within the bins [0, {last}]")
     if fit_hi - fit_lo < MIN_FIT_BINS - 1:
         raise ValueError(
             f"fit range [{fit_lo}, {fit_hi}] has fewer than {MIN_FIT_BINS} bins")
@@ -131,11 +139,9 @@ def ralsd(grid, fit_lo=None, fit_hi=None, window=False):
     """
     f_hat = np.fft.rfft2(_spectrum_input(grid, window))
     power = np.square(f_hat.real)
-    power += np.square(f_hat.imag)
-    weights = np.full(power.shape[1], 2.0)
-    weights[0], weights[-1] = 1, 1 + grid.width % 2  # even widths: Nyquist is its own mirror
-    profile = _annuli(power, grid.height, grid.width,
-                      np.fft.rfftfreq(grid.width)[None, :], weights)
+    power += np.square(f_hat.imag, out=f_hat.imag)
+    power *= _annulus_table(grid.height, grid.width, True)[1]
+    profile = _annuli(power, grid.height, grid.width, half=True)
     if fit_lo is None or fit_hi is None:
         lo, hi = default_fit_range(profile)
         fit_lo = lo if fit_lo is None else fit_lo

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .findiff import (DEFAULT_EPS, check_gradient_input, line_gradient,
-                      line_gradient_adjoint)
+from .findiff import (DEFAULT_EPS, check_gradient_input, check_stabilizer,
+                      line_gradient, line_gradient_adjoint)
 
 
 @dataclass
@@ -206,15 +206,15 @@ def cell_fluxes(grid, part, eps=DEFAULT_EPS, ratio_eps=None, anomaly=False):
     """Boundary-averaged advective/diffusive fluxes and their ratio per cell.
 
     ratio_eps defaults to eps (the same stabilizer appears in the unit
-    vector and the ratio denominator). anomaly=True removes the per-cell
-    boundary mean of T before the advective sum.
+    vector and the ratio denominator); both must be finite and > 0.
+    anomaly=True removes the per-cell boundary mean of T before the
+    advective sum.
     """
     if part.cell_h * part.n_rows != grid.height or part.cell_w * part.n_cols != grid.width:
         raise DimensionMismatchError(
             f"partition covers {part.cell_h * part.n_rows}x{part.cell_w * part.n_cols}, "
             f"grid is {grid.height}x{grid.width}")
-    if ratio_eps is None:
-        ratio_eps = eps
+    ratio_eps = eps if ratio_eps is None else check_stabilizer("ratio_eps", ratio_eps)
     return _fluxes(_edge_lines(grid, _line_tables(part), eps), part, eps, ratio_eps, anomaly)
 
 

@@ -310,6 +310,46 @@ class TestRefine:
         assert all(np.isfinite(float(x)) for x in rows[0].split(","))
 
 
+class TestNonFiniteOptions:
+    """A NaN, inf or out-of-range option is a usage error (exit 2) that names
+    its value, and leaves no report, trace or output file behind."""
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--eps", "nan", "eps must be finite and > 0, got nan"),
+        ("--eps", "inf", "eps must be finite and > 0, got inf"),
+        ("--eps", "0", "eps must be finite and > 0, got 0.0"),
+        ("--ratio-eps", "nan", "ratio_eps must be finite and > 0, got nan"),
+        ("--ratio-eps", "inf", "ratio_eps must be finite and > 0, got inf"),
+        ("--ratio-eps", "-1e-3", "ratio_eps must be finite and > 0, got -0.001"),
+        ("--fit-hi", "5000", "fit range [3, 5000] is not within the bins [0, 22]"),
+        ("--fit-lo", "-3", "fit range [-3, 7] is not within the bins [0, 22]")])
+    def test_metrics(self, tmp_path, capsys, flag, value, named):
+        fp, cp = write_pair(tmp_path)
+        out = tmp_path / "report.json"
+        assert main(["metrics", str(fp), str(fp), str(cp), f"{flag}={value}",
+                     "--out", str(out)]) == 2
+        assert f"error: {named}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lam", "nan"), ("--lam", "inf"), ("--step", "nan"), ("--step", "inf"),
+        ("--eps", "nan"), ("--eps", "inf"), ("--tol", "nan"), ("--tol", "-1"),
+        ("--fd-h", "nan"), ("--fd-h", "0")])
+    def test_refine(self, tmp_path, capsys, flag, value):
+        fp, cp = write_pair(tmp_path, h=16, w=16)
+        out, trace = tmp_path / "o.fgrd", tmp_path / "trace.csv"
+        assert main(["refine", str(fp), str(cp), "--iters", "3", f"{flag}={value}",
+                     "--out", str(out), "--trace", str(trace)]) == 2
+        assert str(float(value)) in capsys.readouterr().err
+        assert not out.exists() and not trace.exists()
+
+    def test_ralsd_fit_range(self, tmp_path, capsys):
+        fp, _ = write_pair(tmp_path)
+        assert main(["ralsd", str(fp), "--fit-lo", "2", "--fit-hi", "5000"]) == 2
+        captured = capsys.readouterr()
+        assert "[2, 5000]" in captured.err and "fit_bins" not in captured.out
+
+
 class TestRalsd:
     def test_profile_and_slope(self, tmp_path, capsys):
         fp, _ = write_pair(tmp_path, h=64, w=64, slope=-3.0)

@@ -4,6 +4,7 @@ import pytest
 from fluxgrid import (Grid2D, coarsen_block_mean, gen_affine, make_pair,
                       upsample_quadratic)
 from fluxgrid.errors import DimensionMismatchError
+from fluxgrid.grid_core import _quad_weights_1d
 
 
 def grid(values, dx=1.0, dy=1.0):
@@ -85,6 +86,21 @@ class TestUpsampleQuadratic:
             c = gen_affine(6, 8, a, b, c0, dx=2.0, dy=2.0)
             rt = coarsen_block_mean(upsample_quadratic(c, 2, 2), 2, 2)
             np.testing.assert_allclose(rt.values, c.values, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("scales", [(1, 1), (2, 2), (3, 3), (4, 4), (1, 4), (3, 2)])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (3, 3), (7, 7), (1, 7), (7, 2), (3, 1)])
+    def test_bitwise_equal_to_a_fine_gather(self, dims, scales):
+        # the same Lagrange sums, each fine sample gathering its own stencil
+        c = grid(np.random.default_rng(dims[0] * 10 + dims[1]).normal(size=dims))
+        want = c.values
+        for axis, n, s in ((1, dims[1], scales[1]), (0, dims[0], scales[0])):
+            idx, wts = _quad_weights_1d(n, s)
+            wts = np.expand_dims(wts, 2 - axis)
+            want = (np.take(want, idx[0], axis) * wts[0] + np.take(want, idx[1], axis) * wts[1]
+                    + np.take(want, idx[2], axis) * wts[2])
+        got = upsample_quadratic(c, *scales).values
+        assert got.shape == (dims[0] * scales[0], dims[1] * scales[1])
+        assert np.array_equal(got, want)
 
     def test_interior_roundtrip_identity(self):
         # block mean of the separable quadratic reconstruction equals the

@@ -118,3 +118,39 @@ def test_metric_report_bundle():
     assert rep.bias == pytest.approx(0.5)
     assert rep.n == 4
     assert rep.l_flux is None and rep.l_spec is None
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (17, 5), (256, 256)])
+def test_metric_report_equals_the_four_functions(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    t = rng.normal(size=shape) + 3.0
+    p = t + 0.3 * rng.normal(size=shape) - 0.1
+    gp, gt = grid(p), grid(t)
+    rep = metric_report(gp, gt)
+    for got, func in ((rep.rmse, rmse), (rep.r2, r_squared), (rep.pcc, pearson),
+                      (rep.bias, bias)):
+        assert got == pytest.approx(func(gp, gt), rel=1e-12)
+    # and the textbook formulas, one pass each
+    d = p - t
+    assert rep.rmse == pytest.approx(np.sqrt(np.mean(d * d)), rel=1e-12)
+    assert rep.bias == pytest.approx(np.mean(d), rel=1e-12)
+    assert rep.r2 == pytest.approx(1 - np.sum(d * d) / np.sum((t - t.mean()) ** 2), rel=1e-12)
+    assert rep.pcc == pytest.approx(np.corrcoef(p.ravel(), t.ravel())[0, 1], rel=1e-12)
+    assert rep.n == p.size
+
+
+@pytest.mark.parametrize("constant", ["pred", "truth", "both"])
+@pytest.mark.parametrize("value", [0.0, 1.0, -3.5])
+def test_metric_report_raises_like_the_functions(constant, value):
+    rng = np.random.default_rng(31)
+    pair = {"pred": grid(rng.normal(size=(64, 48))), "truth": grid(rng.normal(size=(64, 48)))}
+    keys = ["pred", "truth"] if constant == "both" else [constant]
+    for key in keys:
+        pair[key] = grid(np.full((64, 48), value))
+    p, t = pair["pred"], pair["truth"]
+    rmse(p, t), bias(p, t)  # never raise
+    with pytest.raises(DegenerateVarianceError) as want:
+        r_squared(p, t) if constant != "pred" else pearson(p, t)
+    with pytest.raises(DegenerateVarianceError) as got:
+        metric_report(p, t)
+    assert str(got.value) == str(want.value)

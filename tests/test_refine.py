@@ -36,6 +36,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             RefineConfig(step_size=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_pde", float("nan")), ("lambda_pde", float("inf")), ("tol", float("nan")),
+        ("tol", -1e-9), ("step_size", float("nan")), ("step_size", float("inf")),
+        ("fd_h", float("nan")), ("fd_h", 0.0)])
+    def test_non_finite_or_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RefineConfig(**{field: value})
+
+    def test_zero_lambda_and_tol_accepted(self):
+        RefineConfig(lambda_pde=0.0, tol=0.0)
+
 
 class TestObjective:
     def test_decomposition(self):

@@ -4,7 +4,7 @@ import pytest
 from fluxgrid import (Grid2D, GrfSpec, default_fit_range, fit_slope, gen_grf,
                       power_spectrum_2d, radial_profile, ralsd, spectral_loss)
 from fluxgrid.errors import DegenerateSpectrumError, TooSmallGridError
-from fluxgrid.spectral import SpectrumProfile
+from fluxgrid.spectral import SpectrumProfile, _annulus_table
 
 
 def grid(values, dx=1.0, dy=1.0):
@@ -170,3 +170,36 @@ def test_ralsd_half_spectrum_matches_full(shape, window):
     alpha, intercept = fit_slope(full, half.fit_lo, half.fit_hi)
     assert half.alpha == pytest.approx(alpha, abs=1e-12)
     assert half.intercept == pytest.approx(intercept, abs=1e-12)
+
+
+def test_ralsd_on_alternating_shapes_keeps_each_table():
+    grids = [grid(np.random.default_rng(n).normal(size=shape))
+             for n, shape in enumerate([(64, 64), (37, 50)])]
+    for g in grids * 3:
+        half = ralsd(g)
+        full = radial_profile(power_spectrum_2d(g), g.height, g.width)
+        np.testing.assert_array_equal(half.k_bins, full.k_bins)
+        np.testing.assert_array_equal(half.counts, full.counts)
+        np.testing.assert_allclose(half.psi, full.psi, rtol=1e-12, atol=0.0)
+    for half in (False, True):
+        for arr in _annulus_table(37, 50, half):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+def test_radial_profile_leaves_psd_alone():
+    psd = power_spectrum_2d(gen_grf(GrfSpec(32, 32, -2.0, 4)))
+    before = psd.copy()
+    radial_profile(psd, 32, 32)
+    assert np.array_equal(psd, before)
+
+
+@pytest.mark.parametrize("lo,hi", [(2, 5000), (-3, 10), (0, 23)])
+def test_fit_range_must_lie_within_the_profile(lo, hi):
+    prof = ralsd(gen_grf(GrfSpec(32, 32, -2.0, 4)))
+    assert len(prof.psi) == 23  # bins 0..22
+    with pytest.raises(ValueError, match=r"within the bins \[0, 22\]"):
+        fit_slope(prof, lo, hi)
+    with pytest.raises(ValueError, match="within"):
+        ralsd(gen_grf(GrfSpec(32, 32, -2.0, 4)), lo, hi)
