@@ -90,7 +90,6 @@ def _print_field_summary(label, grid):
 
 
 def cmd_synth(args):
-    scale = args.scale
     if args.mode == "grf":
         spec = GrfSpec(args.height, args.width, args.slope, args.seed, args.amplitude)
         fine = gen_grf(spec, args.dx, args.dy)
@@ -122,10 +121,7 @@ def cmd_synth(args):
         )
         fine = step_advdiff(spec)
 
-    if fine.height % scale != 0 or fine.width % scale != 0:
-        raise DimensionMismatchError(
-            f"scale {scale} does not divide dims {fine.height}x{fine.width}")
-    pair = make_pair(fine, scale, scale)
+    pair = make_pair(fine, args.scale, args.scale)
     write_fgrd(pair.fine, args.out_fine)
     _print_field_summary("fine", pair.fine)
     if args.out_coarse:

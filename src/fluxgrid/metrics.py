@@ -26,7 +26,8 @@ class MetricReport:
 
 def _sums(pred, truth, centred=True):
     """One pass over a grid pair: [rmse, bias, the sum of squared errors and, if
-    centred, the dots (p.p, t.t, p.t) of the mean-removed fields, else None]."""
+    centred, the dots (p.p, t.t, p.t) of the mean-removed fields, else None].
+    p.p or t.t is 0 for a constant field (max == min)."""
     if (pred.height, pred.width) != (truth.height, truth.width):
         raise DimensionMismatchError(
             f"pred is {pred.height}x{pred.width}, truth is {truth.height}x{truth.width}")
@@ -37,7 +38,9 @@ def _sums(pred, truth, centred=True):
     if centred:
         p = pv - pv.mean()
         t = np.subtract(tv, tv.mean(), out=diff)
-        sums[3] = tuple(float(np.einsum("i,i", a, b)) for a, b in ((p, p), (t, t), (p, t)))
+        pp, tt, pt = (float(np.einsum("i,i", a, b)) for a, b in ((p, p), (t, t), (p, t)))
+        # a constant field's mean may be inexact, leaving rounding noise in its dots
+        sums[3] = (pp if np.ptp(pv) > 0 else 0.0, tt if np.ptp(tv) > 0 else 0.0, pt)
     return sums
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceStallError
+from .errors import ConvergenceStallError, DimensionMismatchError
 from .findiff import DEFAULT_EPS
 from .grid_core import Grid2D, GridPair
 from .supergrid import FluxRatioLoss
@@ -35,7 +35,7 @@ class RefineConfig:
     normalize_pde: bool = True
 
     def __post_init__(self):
-        for name, low in (("lambda_pde", ">= 0"), ("tol", ">= 0"),
+        for name, low in (("lambda_pde", ">= 0"), ("tol", ">= 0"), ("max_iters", ">= 0"),
                           ("step_size", "> 0"), ("fd_h", "> 0")):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0 or (value == 0 and low == "> 0"):
@@ -62,6 +62,9 @@ class _Objective:
     and coarse grid; lam starts at cfg.lambda_pde."""
 
     def __init__(self, fine, init, coarse, cfg):
+        if init.values.shape != fine.values.shape:
+            raise DimensionMismatchError(f"init is {init.height}x{init.width}, "
+                                         f"fine field is {fine.height}x{fine.width}")
         self.flux = FluxRatioLoss(GridPair.from_grids(coarse, fine), cfg.eps,
                                   cfg.cell_override, cfg.ratio_eps)
         self.init, self.cfg, self.lam = init, cfg, cfg.lambda_pde

@@ -9,10 +9,10 @@ difference between the fine-scale and coarse-scale ratios; it doubles as
 the flux-ratio evaluation metric.
 
 The fluxes read the field and its gradient on cell edges only, so both
-are evaluated on the edge lines alone: the first and last row of every
-cell row and the first and last column of every cell column
-(findiff.line_gradient, gradient_central's stencils restricted to those
-lines; 25% of the pixels, counted once per direction, for 16x16 cells).
+are evaluated on the edge lines alone: each cell row's first and then its
+last row, cell row by cell row, and the same for columns (a one-pixel-thin
+cell lists its line twice), with findiff.line_gradient, gradient_central's
+stencils on those lines (25% of the pixels, once per direction, at 16x16).
 Per-cell sums add up each cell's stretch of its lines. A FluxRatioLoss keeps
 the lines of its last forward call; its adjoint back-propagates on them and
 adds into the rows and columns the stencils read
@@ -100,18 +100,16 @@ class _EdgeLines:
     gradient there: the top and bottom rows of the cells (axis 0) or their
     left and right columns (axis 1).
 
-    lines lists each such row or column once. first, last and owner index
-    lines by cell, and give each line's cell; first and last coincide for
-    one-pixel-thin cells. _edge_lines fills t, g_along, g_normal, mag and u
-    (the normal component of the unit vector) on the lines along axis and d,
-    their spacings along and across; cell_len is a cell's extent along a line.
+    lines lists each cell's first line and then its last line, cell by cell,
+    so a one-pixel-thin cell lists its line twice; arrays on the lines (and
+    their per-cell sums) hold first lines at even and last lines at odd
+    positions along axis. _edge_lines fills t, g_along, g_normal, mag and u
+    (the normal component of the unit vector) on the lines and d, their
+    spacings along and across; cell_len is a cell's extent along a line.
     """
 
     axis: int
     lines: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
-    owner: np.ndarray
     cell_len: int
     t: np.ndarray = None
     g_along: np.ndarray = None
@@ -122,16 +120,10 @@ class _EdgeLines:
 
 
 def _line_tables(part):
-    """The _EdgeLines of part along each axis, with index tables and no values."""
-    out = []
-    for axis, cell, n, cell_len in ((0, part.cell_h, part.n_rows, part.cell_w),
-                                    (1, part.cell_w, part.n_cols, part.cell_h)):
-        within = np.arange(n * cell) % cell  # position of each row or column in its cell
-        lines = np.flatnonzero((within == 0) | (within == cell - 1))
-        first = np.arange(n) * cell
-        out.append(_EdgeLines(axis, lines, np.searchsorted(lines, first),
-                              np.searchsorted(lines, first + cell - 1), lines // cell, cell_len))
-    return out
+    """The _EdgeLines of part along each axis, with no values."""
+    return [_EdgeLines(axis, (np.arange(n)[:, None] * cell + [0, cell - 1]).ravel(), cell_len)
+            for axis, cell, n, cell_len in ((0, part.cell_h, part.n_rows, part.cell_w),
+                                            (1, part.cell_w, part.n_cols, part.cell_h))]
 
 
 def _edge_lines(grid, lines, eps):
@@ -151,17 +143,15 @@ def _edge_lines(grid, lines, eps):
 
 def _line_sums(ln, x):
     """Sums of x, given on the lines, over each cell's stretch of each line:
-    (number of lines, cells along a line)."""
+    (lines, n_cols) for axis 0, (n_rows, lines) for axis 1."""
     if ln.axis == 0:  # einsum: sum over a short last axis is slow
         return np.einsum("ijk->ij", x.reshape(len(x), -1, ln.cell_len))
-    return np.einsum("ijk->ki", x.reshape(-1, ln.cell_len, x.shape[1]))
+    return np.einsum("ijk->ik", x.reshape(-1, ln.cell_len, x.shape[1]))
 
 
 def _spread(ln, g):
-    """Adjoint of _line_sums: g (lines, cells) on every entry of its stretch."""
-    if ln.axis == 0:
-        return np.repeat(g, ln.cell_len, axis=1)
-    return np.repeat(g.T, ln.cell_len, axis=0)
+    """Adjoint of _line_sums: g on every entry of its stretch of its line."""
+    return np.repeat(g, ln.cell_len, axis=1 - ln.axis)
 
 
 def _boundary_mean(part, lines, xs, outward=False):
@@ -170,22 +160,20 @@ def _boundary_mean(part, lines, xs, outward=False):
     (top, left; outward normal -y, -x) counts negated."""
     sums = []
     for ln, x in zip(lines, xs):
-        s = _line_sums(ln, x)
-        sums.append(s[ln.last] - s[ln.first] if outward else s[ln.last] + s[ln.first])
-    return (sums[0] + sums[1].T) / (2 * (part.cell_h + part.cell_w))
+        s = _line_sums(ln, x)  # first lines at even, last lines at odd positions
+        first, last = (s[0::2], s[1::2]) if ln.axis == 0 else (s[:, 0::2], s[:, 1::2])
+        sums.append(last - first if outward else last + first)
+    return (sums[0] + sums[1]) / (2 * (part.cell_h + part.cell_w))
 
 
 def _boundary_mean_adjoint(part, lines, per_cell, outward=False):
-    """Adjoint of _boundary_mean: the gradient on the lines of a function
-    of it whose gradient with respect to the per-cell means is per_cell, by (line, cell)."""
+    """Adjoint of _boundary_mean: the gradient, laid out like _line_sums, of a
+    function of it whose gradient with respect to the per-cell means is per_cell."""
     per_cell = per_cell / (2 * (part.cell_h + part.cell_w))
-    out = []
-    for ln, c in zip(lines, (per_cell, per_cell.T)):
-        g = np.zeros((len(ln.lines), c.shape[1]))
-        g[ln.last] += c
-        g[ln.first] += -c if outward else c
-        out.append(g)
-    return out
+    first = -per_cell if outward else per_cell
+    # interleaved along axis: (2 * n_rows, n_cols) or (n_rows, 2 * n_cols)
+    return [np.stack([first, per_cell], ln.axis + 1).reshape(len(per_cell) * (2 - ln.axis), -1)
+            for ln in lines]
 
 
 def _fluxes(lines, part, eps, ratio_eps, anomaly=False):
@@ -193,8 +181,7 @@ def _fluxes(lines, part, eps, ratio_eps, anomaly=False):
     t = [ln.t for ln in lines]
     if anomaly:
         t_mean = _boundary_mean(part, lines, t)
-        t = [x - _spread(ln, c[ln.owner])
-             for x, ln, c in zip(t, lines, (t_mean, t_mean.T))]
+        t = [x - _spread(ln, np.repeat(t_mean, 2, axis=ln.axis)) for x, ln in zip(t, lines)]
     phi_adv = _boundary_mean(part, lines, [x * ln.u for x, ln in zip(t, lines)],
                              outward=True)
     phi_diff = _boundary_mean(part, lines, [ln.mag for ln in lines])

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StabilityError
+from .findiff import check_stabilizer
 from .grid_core import Grid2D, make_pair
 
 
@@ -25,14 +26,13 @@ class GrfSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.target_slope >= 0:
-            raise ValueError(f"target_slope must be negative, got {self.target_slope}")
+        if not -np.inf < self.target_slope < 0:
+            raise ValueError(f"target_slope must be finite and < 0, got {self.target_slope}")
         if self.height < 16 or self.width < 16:
             raise ValueError(
                 f"random-field dims must be >= 16 for a usable spectrum, "
                 f"got {self.height}x{self.width}")
-        if self.amplitude <= 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        check_stabilizer("amplitude", self.amplitude)
 
 
 @dataclass
@@ -47,10 +47,11 @@ class AdvDiffSpec:
     initial: Grid2D
 
     def __post_init__(self):
-        if self.diffusivity < 0:
-            raise ValueError(f"diffusivity must be >= 0, got {self.diffusivity}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not np.isfinite([self.u_x, self.u_y]).all():
+            raise ValueError(f"u_x and u_y must be finite, got {self.u_x}, {self.u_y}")
+        if not 0 <= self.diffusivity < np.inf:
+            raise ValueError(f"diffusivity must be finite and >= 0, got {self.diffusivity}")
+        check_stabilizer("dt", self.dt)
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
 

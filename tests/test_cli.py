@@ -1,10 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fluxgrid
 from fluxgrid import (Grid2D, GrfSpec, coarsen_block_mean, gen_grf, read_fgrd, write_csv,
                       write_fgrd)
 from fluxgrid.cli import main
@@ -233,6 +238,15 @@ class TestMetrics:
         const.write_text("\n".join(",".join(["1.0"] * 32) for _ in range(32)) + "\n")
         assert main(["metrics", str(fp), str(const), str(cp)]) == 4
 
+    @pytest.mark.parametrize("value", ["0.1", "-3.7"])  # constants with inexact means
+    def test_inexact_constant_truth_exit_4(self, tmp_path, capsys, value):
+        fp, cp = write_pair(tmp_path)
+        const, out = tmp_path / "const.csv", tmp_path / "report.json"
+        const.write_text("\n".join(",".join([value] * 32) for _ in range(32)) + "\n")
+        assert main(["metrics", str(fp), str(const), str(cp), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "error: truth field is constant; R^2 undefined\n"
+        assert not out.exists()
+
     def test_bad_cell_usage_error(self, tmp_path, capsys):
         fp, cp = write_pair(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -343,6 +357,30 @@ class TestNonFiniteOptions:
         assert str(float(value)) in capsys.readouterr().err
         assert not out.exists() and not trace.exists()
 
+    @pytest.mark.parametrize("argv,named", [
+        (["grf", "--slope", "-2", "--scale", "0"], "scales must be >= 1, got (0, 0)"),
+        (["grf", "--slope", "nan"], "target_slope must be finite and < 0, got nan"),
+        (["grf", "--slope", "-2", "--amplitude", "nan"],
+         "amplitude must be finite and > 0, got nan"),
+        (["advdiff", "--dt", "nan"], "dt must be finite and > 0, got nan"),
+        (["advdiff", "--D", "nan"], "diffusivity must be finite and >= 0, got nan"),
+        (["advdiff", "--ux", "nan"], "u_x and u_y must be finite, got nan, 0.0"),
+        (["advdiff", "--uy", "inf"], "u_x and u_y must be finite, got 0.0, inf")])
+    def test_synth(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "x.fgrd"
+        assert main(["synth", argv[0], "--h", "16", "--w", "16", *argv[1:],
+                     "--out-fine", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    def test_refine_negative_iters(self, tmp_path, capsys):
+        fp, cp = write_pair(tmp_path, h=16, w=16)
+        out, trace = tmp_path / "o.fgrd", tmp_path / "trace.csv"
+        assert main(["refine", str(fp), str(cp), "--iters", "-3",
+                     "--out", str(out), "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == "error: max_iters must be finite and >= 0, got -3\n"
+        assert not out.exists() and not trace.exists()
+
     def test_ralsd_fit_range(self, tmp_path, capsys):
         fp, _ = write_pair(tmp_path)
         assert main(["ralsd", str(fp), "--fit-lo", "2", "--fit-hi", "5000"]) == 2
@@ -390,3 +428,24 @@ def test_unknown_command_usage_exit():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_numpy_is_the_only_runtime_dependency(tmp_path):
+    """metrics and refine, run in a fresh process, import nothing after numpy
+    but the standard library, numpy and fluxgrid, and never numpy.ma (13-15 ms
+    to import)."""
+    fp, cp = write_pair(tmp_path, h=64, w=64, scale=4)
+    metrics = ["metrics", str(fp), str(fp), str(cp), "--out", str(tmp_path / "r.json")]
+    refine = ["refine", str(fp), str(cp), "--iters", "3", "--out", str(tmp_path / "o.fgrd")]
+    child = (f"import json, sys\nimport numpy\nbefore = set(sys.modules)\n"
+             f"from fluxgrid.cli import main\ncodes = [main({metrics!r}), main({refine!r})]\n"
+             f"print(json.dumps([codes, sorted(set(sys.modules) - before), sorted(sys.modules)]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(fluxgrid.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         env=env, check=True)
+    codes, imported, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    foreign = [name for name in imported if name.split(".")[0] not in
+               sys.stdlib_module_names | {"numpy", "fluxgrid"}]
+    assert foreign == []
+    assert "numpy.ma" not in loaded

@@ -126,7 +126,7 @@ def test_line_gradient_bitwise_equals_gradient_central():
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("lines", [LINES, np.arange(7)])
+@pytest.mark.parametrize("lines", [LINES, np.arange(7), np.repeat(np.arange(7), 2)])
 def test_line_gradient_adjoint_is_transpose(axis, lines):
     # <J v, w> = <v, J^T w> for the linear map J: a -> line_gradient(a)
     rng = np.random.default_rng(18)

@@ -140,7 +140,7 @@ def test_metric_report_equals_the_four_functions(shape):
 
 
 @pytest.mark.parametrize("constant", ["pred", "truth", "both"])
-@pytest.mark.parametrize("value", [0.0, 1.0, -3.5])
+@pytest.mark.parametrize("value", [0.0, 1.0, -3.5, 0.1, -3.7])  # 0.1, -3.7: inexact means
 def test_metric_report_raises_like_the_functions(constant, value):
     rng = np.random.default_rng(31)
     pair = {"pred": grid(rng.normal(size=(64, 48))), "truth": grid(rng.normal(size=(64, 48)))}

@@ -39,7 +39,7 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("lambda_pde", float("nan")), ("lambda_pde", float("inf")), ("tol", float("nan")),
         ("tol", -1e-9), ("step_size", float("nan")), ("step_size", float("inf")),
-        ("fd_h", float("nan")), ("fd_h", 0.0)])
+        ("fd_h", float("nan")), ("fd_h", 0.0), ("max_iters", -3)])
     def test_non_finite_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             RefineConfig(**{field: value})
@@ -79,6 +79,13 @@ class TestObjective:
         with pytest.raises(DimensionMismatchError):
             objective(init, init, bad_coarse, RefineConfig())
 
+    @pytest.mark.parametrize("evaluate", [objective, gradient])
+    def test_init_dims_must_match_the_field(self, evaluate):
+        fine, coarse = noisy_pair(3)
+        init = grid(np.zeros((16, 12)))
+        with pytest.raises(DimensionMismatchError, match="init is 16x12, fine field is 16x16"):
+            evaluate(fine, init, coarse, RefineConfig())
+
 
 class TestGradient:
     def test_lambda_zero_exact(self):
@@ -113,6 +120,10 @@ class TestGradient:
         ((6, 6), (1, 1), (1, 1)),  # 1x1 fine cells
         ((6, 8), (1, 2), (1, 2)),  # 1x4 fine cells
         ((8, 6), (2, 1), (2, 1)),  # 4x1 fine cells
+        # cells of 2: the lines' clipped neighbours repeat (np.add.at in the adjoint)
+        ((6, 6), (2, 2), (1, 1)),  # 2x2 fine cells
+        ((6, 6), (2, 3), (1, 1)),  # 2x3 fine cells
+        ((6, 6), (3, 2), (1, 1)),  # 3x2 fine cells
     ])
     def test_analytic_matches_numeric_thin_cells(self, fine_shape, scales, cell):
         rng = np.random.default_rng(60)

@@ -216,6 +216,7 @@ class TestAdjointInto:
         ((6, 6), (1, 1), (1, 1)),  # 1x1 fine cells
         ((6, 8), (1, 2), (1, 2)),  # 1x4 fine cells
         ((8, 6), (2, 1), (2, 1)),  # 4x1 fine cells
+        ((6, 6), (2, 2), (1, 1)),  # 2x2 fine cells
     ])
     def test_adds_scaled_gradient_into_out(self, shape, scales, cell):
         rng = np.random.default_rng(81)

@@ -45,8 +45,22 @@ class TestGrf:
         with pytest.raises(ValueError):
             GrfSpec(8, 32, -2.0, 0)
 
+    @pytest.mark.parametrize("field", ["target_slope", "amplitude"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_field_named(self, field, value):
+        kwargs = {"target_slope": -2.0, "amplitude": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GrfSpec(32, 32, seed=0, **kwargs)
+
 
 class TestStepper:
+    @pytest.mark.parametrize("field", ["u_x", "u_y", "diffusivity", "dt"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_field_named(self, field, value):
+        kwargs = {"u_x": 0.0, "u_y": 0.0, "diffusivity": 0.1, "dt": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"{field}.* must be finite"):
+            AdvDiffSpec(steps=1, initial=gen_constant(16, 16, 280.0), **kwargs)
+
     def test_equilibrium_constant(self):
         init = gen_constant(16, 16, 280.0)
         out = step_advdiff(AdvDiffSpec(0.0, 0.0, 0.1, 0.1, 50, init))
