@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 I/O, 2 usage, 3 dimension mismatch,
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -19,7 +20,7 @@ from .errors import (ConvergenceStallError, CsvParseError,
                      TooSmallGridError)
 from .findiff import DEFAULT_EPS
 from .formats import read_csv, read_fgrd, write_fgrd
-from .grid_core import Grid2D, GridPair, make_pair, upsample_quadratic
+from .grid_core import Grid2D, GridPair, check_scales, make_pair, upsample_quadratic
 from .metrics import metric_report
 from .refine import RefineConfig, refine
 from .spectral import ralsd
@@ -91,9 +92,11 @@ def _print_field_summary(label, grid):
 
 def cmd_synth(args):
     if args.mode == "grf":
+        check_scales(args.height, args.width, args.scale, args.scale)
         spec = GrfSpec(args.height, args.width, args.slope, args.seed, args.amplitude)
         fine = gen_grf(spec, args.dx, args.dy)
     elif args.mode == "affine":
+        check_scales(args.height, args.width, args.scale, args.scale)
         fine = gen_affine(args.height, args.width, args.a, args.b, args.c,
                           args.dx, args.dy)
     else:  # advdiff
@@ -108,6 +111,7 @@ def cmd_synth(args):
 
         h = pick(args.height_opt, "h", int, 64)
         w = pick(args.width_opt, "w", int, 64)
+        check_scales(h, w, args.scale, args.scale)  # before the run
         seed = pick(args.seed_opt, "seed", int, 0)
         init_slope = pick(args.init_slope, "init_slope", float, -2.5)
         initial = gen_grf(GrfSpec(h, w, init_slope, seed), args.dx, args.dy)
@@ -353,5 +357,13 @@ def main(argv=None):
         return EXIT_USAGE
 
 
+def entry():
+    """The program's entry, for `python -m fluxgrid.cli` and the console script:
+    main with the import-time heap frozen, so that no collection, the ones at
+    exit included, walks it again. main itself never freezes."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -79,16 +79,19 @@ class GridPair:
         return cls(coarse, fine, fine.height // coarse.height, fine.width // coarse.width)
 
 
-def coarsen_block_mean(fine, scale_y, scale_x):
-    """Average scale_y x scale_x blocks of a fine grid into one coarse cell each."""
+def check_scales(height, width, scale_y, scale_x):
+    """Raise unless the scales are >= 1 and divide a height x width grid."""
     if scale_y < 1 or scale_x < 1:
         raise ValueError(f"scales must be >= 1, got ({scale_y}, {scale_x})")
-    if fine.height % scale_y != 0:
-        raise DimensionMismatchError(
-            f"scale_y={scale_y} does not divide height={fine.height}")
-    if fine.width % scale_x != 0:
-        raise DimensionMismatchError(
-            f"scale_x={scale_x} does not divide width={fine.width}")
+    if height % scale_y != 0:
+        raise DimensionMismatchError(f"scale_y={scale_y} does not divide height={height}")
+    if width % scale_x != 0:
+        raise DimensionMismatchError(f"scale_x={scale_x} does not divide width={width}")
+
+
+def coarsen_block_mean(fine, scale_y, scale_x):
+    """Average scale_y x scale_x blocks of a fine grid into one coarse cell each."""
+    check_scales(fine.height, fine.width, scale_y, scale_x)
     h, w = fine.height // scale_y, fine.width // scale_x
     blocks = fine.values.reshape(h, scale_y, w, scale_x)
     coarse = blocks.mean(axis=(1, 3))

@@ -9,6 +9,8 @@ fields is the absolute difference of their fitted slopes.
 power_spectrum_2d and radial_profile keep the full k grid; ralsd bins the
 real half-spectrum (rfft2, as |F(-k)| = |F(k)|), each column weighing 2 but
 column 0 and an even width's Nyquist column: the same profile, half the work.
+It takes that rfft2 as an rfft along the rows and then an FFT down the
+columns in place (out=, numpy >= 2.0): bitwise the same, in one complex array.
 """
 
 import functools
@@ -135,9 +137,11 @@ def ralsd(grid, fit_lo=None, fit_hi=None, window=False):
     """Full radial profile with the slope fit attached.
 
     The profile is radial_profile(power_spectrum_2d(grid, window)), binned
-    from the real half-spectrum (rfft2) with mirrored-column weights.
+    from the real half-spectrum (rfft2, taken in place) with mirrored-column
+    weights.
     """
-    f_hat = np.fft.rfft2(_spectrum_input(grid, window))
+    f_hat = np.fft.rfft(_spectrum_input(grid, window), axis=1)  # rfft2, in one array
+    np.fft.fft(f_hat, axis=0, out=f_hat)
     power = np.square(f_hat.real)
     power += np.square(f_hat.imag, out=f_hat.imag)
     power *= _annulus_table(grid.height, grid.width, True)[1]

@@ -13,11 +13,20 @@ are evaluated on the edge lines alone: each cell row's first and then its
 last row, cell row by cell row, and the same for columns (a one-pixel-thin
 cell lists its line twice), with findiff.line_gradient, gradient_central's
 stencils on those lines (25% of the pixels, once per direction, at 16x16).
-Per-cell sums add up each cell's stretch of its lines. A FluxRatioLoss keeps
-the lines of its last forward call; its adjoint back-propagates on them and
-adds into the rows and columns the stencils read
-(findiff.line_gradient_adjoint), so a pixel two or more pixels away from
-every edge line never enters.
+Per-cell sums add up each cell's stretch of its lines.
+
+One private kernel, _fluxes, walks the grid in bands of cell rows. A band's
+line quantities (t, the two derivatives, |grad T|, u and t * u) live in
+per-axis scratch of about BAND_ELEMS elements per array, the column lines
+with one halo row either side so that the derivative along them keeps its
+centred stencil; only the per-line, per-cell sums leave a band, so
+cell_fluxes and pde_loss keep no line arrays. With anomaly, a pre-pass over
+t takes each cell's boundary mean of T first. Scratch that spans the grid
+holds it as one band, and that is how a FluxRatioLoss keeps the lines its
+adjoint needs: its first adjoint call swaps the scratch for whole lines. The
+adjoint back-propagates on them and adds into the rows and columns the
+stencils read (findiff.line_gradient_adjoint), so a pixel two or more pixels
+away from every edge line never enters.
 """
 
 import math
@@ -94,59 +103,83 @@ def build_partition(grid, cell_h, cell_w):
     return SupergridPartition(cell_h, cell_w, height // cell_h, width // cell_w)
 
 
+BAND_ELEMS = 1 << 15  # about the elements of one band-scratch array of the forward pass
+
+
 @dataclass
 class _EdgeLines:
-    """The first and last line of every cell along one axis, with the
-    gradient there: the top and bottom rows of the cells (axis 0) or their
-    left and right columns (axis 1).
+    """The first and last line of every cell along one axis, with arrays for
+    the values on them: the top and bottom rows of the cells (axis 0) or
+    their left and right columns (axis 1).
 
     lines lists each cell's first line and then its last line, cell by cell,
     so a one-pixel-thin cell lists its line twice; arrays on the lines (and
     their per-cell sums) hold first lines at even and last lines at odd
-    positions along axis. _edge_lines fills t, g_along, g_normal, mag and u
-    (the normal component of the unit vector) on the lines and d, their
-    spacings along and across; cell_len is a cell's extent along a line.
+    positions along axis. _fluxes fills t, g_along, g_normal, mag, u (the
+    normal component of the unit vector) and tu (t, less its cell's boundary
+    mean with anomaly, times u) one band of cell rows at a time, and d with
+    the spacings along and across; cell_len is a cell's extent along a line.
+    The arrays hold one band: the whole lines if it spans the grid.
     """
 
     axis: int
     lines: np.ndarray
     cell_len: int
-    t: np.ndarray = None
-    g_along: np.ndarray = None
-    g_normal: np.ndarray = None
-    mag: np.ndarray = None
-    u: np.ndarray = None
+    t: np.ndarray
+    g_along: np.ndarray
+    g_normal: np.ndarray
+    mag: np.ndarray
+    u: np.ndarray
+    tu: np.ndarray
     d: tuple = None
 
 
-def _line_tables(part):
-    """The _EdgeLines of part along each axis, with no values."""
-    return [_EdgeLines(axis, (np.arange(n)[:, None] * cell + [0, cell - 1]).ravel(), cell_len)
-            for axis, cell, n, cell_len in ((0, part.cell_h, part.n_rows, part.cell_w),
-                                            (1, part.cell_w, part.n_cols, part.cell_h))]
+def _line_tables(part, band=None):
+    """The _EdgeLines of part along each axis, with arrays for bands of band
+    cell rows: by default as many as fit in about BAND_ELEMS elements per
+    array, the column lines with a halo row either side."""
+    n_cols, cell_h = part.n_cols, part.cell_h
+    if band is None:
+        band = max(1, BAND_ELEMS // (2 * n_cols * max(part.cell_w, cell_h)))
+    band = min(band, part.n_rows)
+    halo = 2 if band < part.n_rows else 0
+    return [_EdgeLines(axis, (np.arange(n)[:, None] * cell + [0, cell - 1]).ravel(), cell_len,
+                       *(np.empty(shape) for _ in range(6)))
+            for axis, cell, n, cell_len, shape in (
+                (0, cell_h, part.n_rows, part.cell_w, (2 * band, n_cols * part.cell_w)),
+                (1, part.cell_w, n_cols, cell_h, (band * cell_h + halo, 2 * n_cols)))]
 
 
-def _edge_lines(grid, lines, eps):
-    """Fill lines from _line_tables with a grid's values, in their arrays if they have any."""
-    check_gradient_input(grid, eps)
-    for ln, d in zip(lines, ((grid.dx, grid.dy), (grid.dy, grid.dx))):
-        ln.d = d
-        ln.t, ln.g_along, ln.g_normal = line_gradient(grid.values, ln.lines, ln.axis, *d,
-                                                      (ln.t, ln.g_along, ln.g_normal))
-        ln.mag = np.multiply(ln.g_along, ln.g_along, out=ln.mag)  # |grad T|, u as scratch
-        ln.mag += np.multiply(ln.g_normal, ln.g_normal, out=ln.u)
-        np.sqrt(ln.mag, out=ln.mag)
-        ln.u = np.add(ln.mag, eps, out=ln.u)
-        np.divide(ln.g_normal, ln.u, out=ln.u)
-    return lines
+def _bands(grid, part, lines):
+    """For each band of cell rows that the arrays of lines hold, and each axis:
+    (ln, slab, sel, n, rows, dst). slab is the band's pixel rows with a halo
+    row either side within the grid, sel its lines indexed in slab, n the
+    array rows they fill, rows those of the band itself and dst the band's
+    rows of the per-line sums."""
+    band, cell_h = len(lines[0].t) // 2, part.cell_h
+    for c0 in range(0, part.n_rows, band):
+        c1 = min(c0 + band, part.n_rows)
+        lo, hi = max(c0 * cell_h - 1, 0), min(c1 * cell_h + 1, grid.height)
+        slab = grid.values[lo:hi]
+        yield (lines[0], slab, lines[0].lines[2 * c0:2 * c1] - lo, 2 * (c1 - c0),
+               slice(None), slice(2 * c0, 2 * c1))
+        yield (lines[1], slab, lines[1].lines, hi - lo,
+               slice(c0 * cell_h - lo, c1 * cell_h - lo), slice(c0, c1))
 
 
-def _line_sums(ln, x):
-    """Sums of x, given on the lines, over each cell's stretch of each line:
-    (lines, n_cols) for axis 0, (n_rows, lines) for axis 1."""
-    if ln.axis == 0:  # einsum: sum over a short last axis is slow
-        return np.einsum("ijk->ij", x.reshape(len(x), -1, ln.cell_len))
-    return np.einsum("ijk->ik", x.reshape(-1, ln.cell_len, x.shape[1]))
+def _cells(ln, x):
+    """x, given on some lines of ln's band, with each cell's stretch of each
+    line along the last axis (axis 0) or the middle one (axis 1)."""
+    if ln.axis == 0:
+        return x.reshape(len(x), -1, ln.cell_len)
+    return x.reshape(-1, ln.cell_len, x.shape[1])
+
+
+def _line_sums(ln, x, out):
+    """Sums of x, given on the lines, over each cell's stretch of each line,
+    into out: (lines, n_cols) for axis 0, (n_rows, lines) for axis 1."""
+    # einsum: sum over a short last axis is slow
+    np.einsum("ijk->ij" if ln.axis == 0 else "ijk->ik", _cells(ln, x), out=out)
 
 
 def _spread(ln, g):
@@ -154,16 +187,15 @@ def _spread(ln, g):
     return np.repeat(g, ln.cell_len, axis=1 - ln.axis)
 
 
-def _boundary_mean(part, lines, xs, outward=False):
-    """Per-cell mean over the four edges of a quantity given as xs on the
-    horizontal and vertical lines. With outward, the first line of a cell
+def _boundary_mean(part, sums, outward=False):
+    """Per-cell mean over the four edges of a quantity, from its _line_sums on
+    the horizontal and vertical lines. With outward, the first line of a cell
     (top, left; outward normal -y, -x) counts negated."""
-    sums = []
-    for ln, x in zip(lines, xs):
-        s = _line_sums(ln, x)  # first lines at even, last lines at odd positions
-        first, last = (s[0::2], s[1::2]) if ln.axis == 0 else (s[:, 0::2], s[:, 1::2])
-        sums.append(last - first if outward else last + first)
-    return (sums[0] + sums[1]) / (2 * (part.cell_h + part.cell_w))
+    means = []
+    for axis, s in enumerate(sums):  # first lines at even, last lines at odd positions
+        first, last = (s[0::2], s[1::2]) if axis == 0 else (s[:, 0::2], s[:, 1::2])
+        means.append(last - first if outward else last + first)
+    return (means[0] + means[1]) / (2 * (part.cell_h + part.cell_w))
 
 
 def _boundary_mean_adjoint(part, lines, per_cell, outward=False):
@@ -176,15 +208,41 @@ def _boundary_mean_adjoint(part, lines, per_cell, outward=False):
             for ln in lines]
 
 
-def _fluxes(lines, part, eps, ratio_eps, anomaly=False):
-    """Per-cell fluxes from the edge lines of a field."""
-    t = [ln.t for ln in lines]
-    if anomaly:
-        t_mean = _boundary_mean(part, lines, t)
-        t = [x - _spread(ln, np.repeat(t_mean, 2, axis=ln.axis)) for x, ln in zip(t, lines)]
-    phi_adv = _boundary_mean(part, lines, [x * ln.u for x, ln in zip(t, lines)],
-                             outward=True)
-    phi_diff = _boundary_mean(part, lines, [ln.mag for ln in lines])
+def _fluxes(grid, part, lines, eps, ratio_eps, anomaly=False):
+    """Per-cell fluxes of a grid, band by band through the arrays of lines.
+
+    Only the per-line, per-cell sums leave a band. With anomaly, a pre-pass
+    over t takes each cell's boundary mean of T, which is subtracted before
+    the product with u.
+    """
+    check_gradient_input(grid, eps)
+    lines[0].d, lines[1].d = (grid.dx, grid.dy), (grid.dy, grid.dx)
+    shapes = ((2 * part.n_rows, part.n_cols), (part.n_rows, 2 * part.n_cols))
+    adv, diff = [np.empty(s) for s in shapes], [np.empty(s) for s in shapes]
+    if anomaly:  # adv holds the line sums of T until the main pass
+        for ln, slab, sel, n, rows, dst in _bands(grid, part, lines):
+            t = np.take(slab, sel, ln.axis, out=ln.t[:n], mode="clip")
+            _line_sums(ln, t[rows], adv[ln.axis][dst])
+        t_mean = _boundary_mean(part, adv)
+        t_mean = [np.repeat(t_mean, 2, axis) for axis in (0, 1)]  # laid out like the sums
+    for ln, slab, sel, n, rows, dst in _bands(grid, part, lines):
+        t, g_along, g_normal, mag, u, tu = (x[:n] for x in (ln.t, ln.g_along, ln.g_normal,
+                                                            ln.mag, ln.u, ln.tu))
+        line_gradient(slab, sel, ln.axis, *ln.d, (t, g_along, g_normal))
+        np.multiply(g_along, g_along, out=mag)  # |grad T|, u as scratch
+        mag += np.multiply(g_normal, g_normal, out=u)
+        np.sqrt(mag, out=mag)
+        np.divide(g_normal, np.add(mag, eps, out=u), out=u)
+        if anomaly:
+            np.subtract(_cells(ln, t[rows]), np.expand_dims(t_mean[ln.axis][dst], 2 - ln.axis),
+                        out=_cells(ln, tu[rows]))
+            tu[rows] *= u[rows]
+        else:
+            np.multiply(t, u, out=tu)
+        _line_sums(ln, tu[rows], adv[ln.axis][dst])
+        _line_sums(ln, mag[rows], diff[ln.axis][dst])
+    phi_adv = _boundary_mean(part, adv, outward=True)
+    phi_diff = _boundary_mean(part, diff)
     r_eff = phi_adv / (phi_diff + ratio_eps)
     return FluxReport(phi_adv=phi_adv, phi_diff=phi_diff, r_eff=r_eff, eps=eps)
 
@@ -202,7 +260,7 @@ def cell_fluxes(grid, part, eps=DEFAULT_EPS, ratio_eps=None, anomaly=False):
             f"partition covers {part.cell_h * part.n_rows}x{part.cell_w * part.n_cols}, "
             f"grid is {grid.height}x{grid.width}")
     ratio_eps = eps if ratio_eps is None else check_stabilizer("ratio_eps", ratio_eps)
-    return _fluxes(_edge_lines(grid, _line_tables(part), eps), part, eps, ratio_eps, anomaly)
+    return _fluxes(grid, part, _line_tables(part), eps, ratio_eps, anomaly)
 
 
 def pde_loss(pair, fine_field, eps=DEFAULT_EPS, cell_override=None,
@@ -223,11 +281,13 @@ def pde_loss(pair, fine_field, eps=DEFAULT_EPS, cell_override=None,
 class FluxRatioLoss:
     """pde_loss of fine fields against one coarse grid, and its adjoint.
 
-    The tilings, the coarse report and the work arrays are built once. forward
-    evaluates the gradient on the cell-edge lines only and keeps them with its
-    fine report; adjoint back-propagates the last forward call on those lines
-    instead of running another forward pass, is zero off the lines' stencils
-    and can add into an array.
+    The tilings, the coarse report and the band scratch are built once.
+    forward evaluates the gradient on the cell-edge lines only, band by band.
+    The first adjoint call swaps the scratch for whole lines, which it fills
+    by running the last forward pass again, and from then on every forward
+    call keeps its lines; adjoint back-propagates the last forward call on
+    those lines instead of running another forward pass, is zero off the
+    lines' stencils and can add into an array.
     """
 
     def __init__(self, pair, eps=DEFAULT_EPS, cell_override=None, ratio_eps=None,
@@ -242,13 +302,13 @@ class FluxRatioLoss:
         self.anomaly = anomaly
         self.coarse_report = cell_fluxes(coarse, part_c, eps, ratio_eps, anomaly)
         self._lines = _line_tables(self.part_f)  # filled by each forward call
-        self._cols = np.empty((pair.fine.width, pair.fine.height))  # columns as rows
+        self._cols = None  # the adjoint's columns as rows, from its first call
 
     def forward(self, fine):
         """PdeLossResult of a field of the pair's fine dims; the next call
         overwrites the edge lines, so take this one's adjoint before."""
-        _edge_lines(fine, self._lines, self.eps)
-        self._rep = rep = _fluxes(self._lines, self.part_f, self.eps, self.ratio_eps,
+        self._fine = fine
+        self._rep = rep = _fluxes(fine, self.part_f, self._lines, self.eps, self.ratio_eps,
                                   self.anomaly)
         sq = (rep.r_eff - self.coarse_report.r_eff) ** 2
         return PdeLossResult(loss=float(sq.mean()), per_cell_sq_diff=sq, n_cells=sq.size,
@@ -259,7 +319,13 @@ class FluxRatioLoss:
         times it is added into out (a new zero array by default), and out returned."""
         if self.anomaly:
             raise ValueError("the adjoint is implemented for anomaly=False only")
-        part, lines, rep = self.part_f, self._lines, self._rep
+        part, rep = self.part_f, self._rep
+        if self._cols is None:  # keep whole lines from now on
+            self._cols = np.empty((self._fine.width, self._fine.height))
+            if len(self._lines[0].t) < 2 * part.n_rows:
+                self._lines = _line_tables(part, part.n_rows)
+                _fluxes(self._fine, part, self._lines, self.eps, self.ratio_eps)
+        lines = self._lines
         denom = rep.phi_diff + self.ratio_eps
         g_r = (2.0 * scale / rep.r_eff.size) * (rep.r_eff - self.coarse_report.r_eff)
         # on the lines: d loss / d(T * u.n) and d loss / d|grad T|

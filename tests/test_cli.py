@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import struct
@@ -12,6 +13,7 @@ import pytest
 import fluxgrid
 from fluxgrid import (Grid2D, GrfSpec, coarsen_block_mean, gen_grf, read_fgrd, write_csv,
                       write_fgrd)
+from fluxgrid import cli
 from fluxgrid.cli import main
 
 
@@ -107,6 +109,32 @@ class TestSynth:
         assert main(["synth", "grf", "--h", "16", "--w", "16", "--slope", "-2.0",
                      "--scale", "3",
                      "--out-fine", str(tmp_path / "x.fgrd")]) == 3
+
+    @pytest.mark.parametrize("argv, code, named", [
+        (["grf", "--h", "16", "--w", "16", "--slope", "-2", "--scale", "0"], 2,
+         "scales must be >= 1, got (0, 0)"),
+        (["affine", "--h", "16", "--w", "16", "--scale", "-1"], 2,
+         "scales must be >= 1, got (-1, -1)"),
+        (["grf", "--h", "16", "--w", "18", "--slope", "-2", "--scale", "4"], 3,
+         "scale_x=4 does not divide width=18"),
+        (["advdiff", "--steps", "3000", "--scale", "0"], 2, "scales must be >= 1, got (0, 0)"),
+        (["advdiff", "--steps", "3000", "--scale", "4", "--config", "{conf}"], 3,
+         "scale_y=4 does not divide height=30"),
+    ])
+    def test_scale_checked_before_the_field_is_built(self, tmp_path, monkeypatch, capsys,
+                                                     argv, code, named):
+        def never(*args, **kwargs):
+            raise AssertionError("the field was built before --scale was checked")
+
+        for name in ("gen_grf", "gen_affine", "step_advdiff"):
+            monkeypatch.setattr(cli, name, never)
+        conf = tmp_path / "run.conf"
+        conf.write_text("h = 30\nw = 32\n")
+        out = tmp_path / "x.fgrd"
+        argv = [arg.format(conf=conf) for arg in argv]
+        assert main(["synth", *argv, "--out-fine", str(out)]) == code
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
 
 
 class TestMetrics:
@@ -449,3 +477,38 @@ def test_numpy_is_the_only_runtime_dependency(tmp_path):
                sys.stdlib_module_names | {"numpy", "fluxgrid"}]
     assert foreign == []
     assert "numpy.ma" not in loaded
+
+
+class TestEntry:
+    def test_main_never_freezes(self, tmp_path):
+        fp, cp = write_pair(tmp_path)
+        before = gc.get_freeze_count()
+        assert main(["metrics", str(fp), str(fp), str(cp)]) == 0
+        assert main(["synth", "grf", "--h", "16", "--w", "16", "--slope", "-2",
+                     "--out-fine", str(tmp_path / "g.fgrd")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_entry_freezes_then_runs_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+        assert cli.entry() == 7
+        assert calls == ["freeze", "main"]
+
+    def test_module_entry_runs_metrics(self, tmp_path):
+        fp, cp = write_pair(tmp_path)
+        out = tmp_path / "report.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(fluxgrid.__file__).parents[1])}
+        argv = [sys.executable, "-m", "fluxgrid.cli", "metrics", str(fp), str(fp), str(cp)]
+        run = subprocess.run([*argv, "--out", str(out)], capture_output=True, text=True,
+                             env=env)
+        assert run.returncode == 0, run.stderr
+        labels = [line.split()[0] for line in run.stdout.splitlines()]
+        assert labels == ["RMSE", "R2", "PCC", "Bias", "L_flux", "L_spec"]
+        assert json.loads(out.read_text())["metrics"]["rmse"] == 0.0
+        out.unlink()
+        run = subprocess.run([*argv, "--eps", "nan", "--out", str(out)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        assert run.stderr == "error: eps must be finite and > 0, got nan\n"
+        assert not out.exists()

@@ -4,7 +4,7 @@ import pytest
 from fluxgrid import (Grid2D, GrfSpec, default_fit_range, fit_slope, gen_grf,
                       power_spectrum_2d, radial_profile, ralsd, spectral_loss)
 from fluxgrid.errors import DegenerateSpectrumError, TooSmallGridError
-from fluxgrid.spectral import SpectrumProfile, _annulus_table
+from fluxgrid.spectral import SpectrumProfile, _annuli, _annulus_table
 
 
 def grid(values, dx=1.0, dy=1.0):
@@ -170,6 +170,21 @@ def test_ralsd_half_spectrum_matches_full(shape, window):
     alpha, intercept = fit_slope(full, half.fit_lo, half.fit_hi)
     assert half.alpha == pytest.approx(alpha, abs=1e-12)
     assert half.intercept == pytest.approx(intercept, abs=1e-12)
+
+
+@pytest.mark.parametrize("window", [False, True])
+@pytest.mark.parametrize("shape", [(8, 8), (9, 8), (8, 9), (33, 17), (37, 50), (64, 48),
+                                   (127, 129), (256, 256)])
+def test_ralsd_in_place_fft_matches_rfft2_bitwise(shape, window):
+    g = grid(np.random.default_rng(shape[0] + 7 * shape[1]).normal(size=shape))
+    x = g.values * np.hanning(shape[0])[:, None] * np.hanning(shape[1]) if window else g.values
+    f_hat = np.fft.rfft2(x)
+    power = np.square(f_hat.real) + np.square(f_hat.imag)
+    power *= _annulus_table(*shape, True)[1]
+    want = _annuli(power, *shape, half=True)
+    got = ralsd(g, 0, 3, window)  # a fit range that small grids have
+    np.testing.assert_array_equal(got.psi, want.psi)
+    np.testing.assert_array_equal(got.k_bins, want.k_bins)
 
 
 def test_ralsd_on_alternating_shapes_keeps_each_table():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fluxgrid import (Grid2D, GridPair, build_partition, cell_fluxes,
                       choose_supergrid, coarsen_block_mean, gen_grf, GrfSpec,
                       make_pair, pde_loss, upsample_quadratic)
 from fluxgrid.errors import DimensionMismatchError
+from fluxgrid import supergrid
 from fluxgrid.supergrid import FluxRatioLoss
 
 from oracle import oracle_cell_fluxes, oracle_pde_loss
@@ -234,3 +237,86 @@ class TestAdjointInto:
                                    atol=1e-12 * np.abs(buf0).max())
         # the lines are left as they were: a second plain call agrees bitwise
         assert np.array_equal(loss.adjoint(), plain)
+
+
+def flux_arrays(rep):
+    return rep.phi_adv, rep.phi_diff, rep.r_eff
+
+
+class TestBands:
+    """The forward pass in bands of a few cell rows, the last one partial,
+    against one band per call at the default size and the loop oracle."""
+
+    # n_rows is odd in each case, so bands of 2 and 4 cell rows end on a partial band
+    @pytest.mark.parametrize("shape, cell", [
+        ((15, 12), (1, 1)), ((15, 16), (1, 4)), ((20, 6), (4, 1)), ((21, 20), (3, 4))])
+    @pytest.mark.parametrize("rows", [1, 2, 4])  # cell rows per band
+    def test_cell_fluxes_bitwise(self, monkeypatch, shape, cell, rows):
+        vals = np.random.default_rng(91).normal(size=shape) + 280.0
+        g = grid(vals, dx=0.7, dy=1.3)
+        part = build_partition(g, *cell)
+        want = {a: cell_fluxes(g, part, eps=1e-6, anomaly=a) for a in (False, True)}
+        monkeypatch.setattr(supergrid, "BAND_ELEMS", rows * 2 * part.n_cols * max(cell))
+        assert len(supergrid._line_tables(part)[0].t) == 2 * rows
+        for anomaly in (False, True):
+            rep = cell_fluxes(g, part, eps=1e-6, anomaly=anomaly)
+            oracle = oracle_cell_fluxes(vals.tolist(), 0.7, 1.3, *cell, 1e-6, anomaly=anomaly)
+            for got, same, expected in zip(flux_arrays(rep), flux_arrays(want[anomaly]), oracle):
+                assert np.array_equal(got, same)
+                np.testing.assert_allclose(got.ravel(), expected, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("anomaly", [False, True])
+    @pytest.mark.parametrize("shape, scales, cell", [
+        ((30, 24), (2, 2), (1, 2)),  # 2x4 fine cells
+        ((15, 12), (1, 1), (1, 1)),  # 1x1
+        ((15, 16), (1, 2), (1, 2)),  # 1x4
+        ((20, 6), (2, 1), (2, 1)),  # 4x1
+    ])
+    def test_pde_loss_and_forward_bitwise(self, monkeypatch, shape, scales, cell, anomaly):
+        rng = np.random.default_rng(92)
+        fine = grid(rng.normal(size=shape), dx=0.6, dy=1.7)
+        pair = GridPair(make_pair(grid(rng.normal(size=shape), dx=0.6, dy=1.7),
+                                  *scales).coarse, fine, *scales)
+        want = pde_loss(pair, fine, cell_override=cell, anomaly=anomaly)
+        monkeypatch.setattr(supergrid, "BAND_ELEMS", 1)  # one cell row per band
+        got = pde_loss(pair, fine, cell_override=cell, anomaly=anomaly)
+        loss = FluxRatioLoss(pair, cell_override=cell, anomaly=anomaly)
+        for res in (got, loss.forward(fine)):
+            assert res.loss == want.loss
+            assert np.array_equal(res.per_cell_sq_diff, want.per_cell_sq_diff)
+            for a, b in zip(flux_arrays(res.fine_report), flux_arrays(want.fine_report)):
+                assert np.array_equal(a, b)
+        assert want.loss == pytest.approx(oracle_pde_loss(
+            pair.coarse.values.tolist(), pair.coarse.dx, pair.coarse.dy,
+            fine.values.tolist(), 0.6, 1.7, *cell, *scales, 1e-6, anomaly=anomaly),
+            rel=1e-9, abs=1e-14)
+
+    @pytest.mark.parametrize("shape, scales, cell", [
+        ((30, 24), (2, 2), (1, 2)), ((15, 12), (1, 1), (1, 1)), ((20, 6), (2, 1), (2, 1))])
+    def test_adjoint_keeps_whole_lines(self, monkeypatch, shape, scales, cell):
+        # the first adjoint of a banded loss re-runs the forward pass on whole
+        # lines, which later forward calls keep
+        rng = np.random.default_rng(93)
+        fields = [grid(rng.normal(size=shape), dx=0.6, dy=1.7) for _ in range(2)]
+        pair = make_pair(grid(rng.normal(size=shape), dx=0.6, dy=1.7), *scales)
+        pair = GridPair(pair.coarse, fields[0], *scales)
+        whole = FluxRatioLoss(pair, cell_override=cell)
+        monkeypatch.setattr(supergrid, "BAND_ELEMS", 1)
+        banded = FluxRatioLoss(pair, cell_override=cell)
+        for fine in fields:
+            want = whole.forward(fine)
+            assert banded.forward(fine).loss == want.loss
+            assert np.array_equal(banded.adjoint(), whole.adjoint())
+        assert banded._lines[0].t.shape == whole._lines[0].t.shape
+
+    def test_pde_loss_peak_memory(self):
+        # 512^2 with 4x4 fine cells: the band scratch, not full-size line arrays
+        fine = grid(np.random.default_rng(94).normal(size=(512, 512)))
+        pair = make_pair(fine, 4, 4)
+        tracemalloc.start()
+        try:
+            pde_loss(pair, fine, cell_override=(1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * fine.values.nbytes
