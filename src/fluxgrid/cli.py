@@ -6,8 +6,6 @@ Exit codes: 0 success, 1 I/O, 2 usage, 3 dimension mismatch,
 
 import argparse
 import gc
-import hashlib
-import json
 import sys
 import time
 
@@ -36,6 +34,7 @@ EXIT_STALL = 5
 
 
 def _sha256(path):
+    import hashlib  # here, as json in cmd_metrics: only metrics pays for their import
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -191,6 +190,7 @@ def cmd_metrics(args):
                        ("L_flux", "l_flux"), ("L_spec", "l_spec")):
         print(f"{label:<7}{doc['metrics'][key]:.6g}")
     if args.out:
+        import json
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -5,9 +5,11 @@ with backtracking line search. objective, gradient and refine evaluate J
 through one _Objective, which builds the grid pair and the FluxRatioLoss
 once per call. Its numeric gradient (central differences per pixel over
 that J) is the reference; the analytic one, FluxRatioLoss.adjoint of the
-last evaluation, is gated on agreement with it. Full-grid arrays are
-allocated once per call; candidates alternate between two buffers, never
-overwriting init.values or the accepted field, and are rejected on overflow.
+last evaluation, is gated on agreement with it; it reuses that evaluation's
+T - T_init as well, so the fidelity gradient is one pass over the grid.
+Full-grid arrays are allocated once per call; candidates alternate between
+two buffers, never overwriting init.values or the accepted field, and are
+rejected on overflow.
 """
 
 from dataclasses import dataclass, field
@@ -68,18 +70,20 @@ class _Objective:
         self.flux = FluxRatioLoss(GridPair.from_grids(coarse, fine), cfg.eps,
                                   cfg.cell_override, cfg.ratio_eps)
         self.init, self.cfg, self.lam = init, cfg, cfg.lambda_pde
-        self._diff = np.empty(fine.values.shape)
+        # T - T_init at the last evaluation, and its square
+        self._diff, self._sq = np.empty(fine.values.shape), np.empty(fine.values.shape)
 
     def __call__(self, fine):
         """(total, fidelity, PdeLossResult) at fine."""
         diff = np.subtract(fine.values, self.init.values, out=self._diff)
-        fid = float(np.mean(np.square(diff, out=diff)))
+        fid = float(np.mean(np.square(diff, out=self._sq)))
         result = self.flux.forward(fine)
         return fid + self.lam * result.loss, fid, result
 
     def gradient_into(self, out, fine):
-        """J's gradient at fine, in out. The analytic one back-propagates the
-        last evaluation, which must have been at fine."""
+        """J's gradient at fine, in out. The analytic one scales the last
+        evaluation's T - T_init and back-propagates its flux loss, so that
+        evaluation must have been at fine."""
         if self.cfg.grad_mode == "numeric_central":
             h, vals = self.cfg.fd_h, fine.values.copy()
             for idx in np.ndindex(out.shape):
@@ -91,8 +95,7 @@ class _Objective:
                 vals[idx] = orig
                 out[idx] = (j_plus - j_minus) / (2.0 * h)
             return out
-        np.subtract(fine.values, self.init.values, out=out)
-        out *= 2.0 / out.size
+        np.multiply(self._diff, 2.0 / out.size, out=out)
         return out if self.lam == 0.0 else self.flux.adjoint(out, scale=self.lam)
 
 

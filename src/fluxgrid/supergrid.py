@@ -26,7 +26,11 @@ holds it as one band, and that is how a FluxRatioLoss keeps the lines its
 adjoint needs: its first adjoint call swaps the scratch for whole lines. The
 adjoint back-propagates on them and adds into the rows and columns the
 stencils read (findiff.line_gradient_adjoint), so a pixel two or more pixels
-away from every edge line never enters.
+away from every edge line never enters. The column lines add into a (W, H)
+accumulator, which is added into the gradient transposed. When H is a
+multiple of 16 its rows are padded to an odd number of 64-byte lines: a row
+stride of a multiple of 128 bytes (4 KB at H = 512) maps each column of the
+transposed walk to one cache set, and the add took twice as long.
 """
 
 import math
@@ -287,7 +291,8 @@ class FluxRatioLoss:
     by running the last forward pass again, and from then on every forward
     call keeps its lines; adjoint back-propagates the last forward call on
     those lines instead of running another forward pass, is zero off the
-    lines' stencils and can add into an array.
+    lines' stencils and can add into an array. The rows of its column
+    accumulator are padded so that adding it in transposed does not alias.
     """
 
     def __init__(self, pair, eps=DEFAULT_EPS, cell_override=None, ratio_eps=None,
@@ -302,6 +307,7 @@ class FluxRatioLoss:
         self.anomaly = anomaly
         self.coarse_report = cell_fluxes(coarse, part_c, eps, ratio_eps, anomaly)
         self._lines = _line_tables(self.part_f)  # filled by each forward call
+        self._rep = None  # the last forward call's fine report
         self._cols = None  # the adjoint's columns as rows, from its first call
 
     def forward(self, fine):
@@ -320,8 +326,15 @@ class FluxRatioLoss:
         if self.anomaly:
             raise ValueError("the adjoint is implemented for anomaly=False only")
         part, rep = self.part_f, self._rep
+        if rep is None:
+            raise ValueError("the adjoint back-propagates a forward call: call forward first")
+        shape = self._fine.values.shape
+        if out is not None and out.shape != shape:
+            raise DimensionMismatchError(f"out has shape {out.shape}, the fine field {shape}")
         if self._cols is None:  # keep whole lines from now on
-            self._cols = np.empty((self._fine.width, self._fine.height))
+            # rows padded off a multiple of 128 bytes (see the module docstring)
+            h, w = shape
+            self._cols = np.empty((w, h + (8 if h % 16 == 0 else 0)))[:, :h]
             if len(self._lines[0].t) < 2 * part.n_rows:
                 self._lines = _line_tables(part, part.n_rows)
                 _fluxes(self._fine, part, self._lines, self.eps, self.ratio_eps)

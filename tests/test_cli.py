@@ -461,17 +461,24 @@ def test_unknown_command_usage_exit():
 def test_numpy_is_the_only_runtime_dependency(tmp_path):
     """metrics and refine, run in a fresh process, import nothing after numpy
     but the standard library, numpy and fluxgrid, and never numpy.ma (13-15 ms
-    to import)."""
+    to import). hashlib (it loads OpenSSL) and json are left to metrics, the
+    one command that uses them: the import and refine load neither."""
     fp, cp = write_pair(tmp_path, h=64, w=64, scale=4)
     metrics = ["metrics", str(fp), str(fp), str(cp), "--out", str(tmp_path / "r.json")]
     refine = ["refine", str(fp), str(cp), "--iters", "3", "--out", str(tmp_path / "o.fgrd")]
-    child = (f"import json, sys\nimport numpy\nbefore = set(sys.modules)\n"
-             f"from fluxgrid.cli import main\ncodes = [main({metrics!r}), main({refine!r})]\n"
-             f"print(json.dumps([codes, sorted(set(sys.modules) - before), sorted(sys.modules)]))")
+    child = "\n".join([
+        "import sys", "import numpy", "before = set(sys.modules)",
+        "late = lambda: [m for m in ('hashlib', 'json') if m in sys.modules]",
+        "from fluxgrid.cli import main", "late_import = late()",
+        f"codes = [main({refine!r})]", "late_refine = late()",
+        f"codes.append(main({metrics!r}))", "import json",
+        "print(json.dumps([codes, sorted(set(sys.modules) - before), sorted(sys.modules),"
+        " late_import, late_refine]))"])
     env = {**os.environ, "PYTHONPATH": str(Path(fluxgrid.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                          env=env, check=True)
-    codes, imported, loaded = json.loads(run.stdout.splitlines()[-1])
+    codes, imported, loaded, late_import, late_refine = json.loads(run.stdout.splitlines()[-1])
+    assert late_import == late_refine == []
     assert codes == [0, 0]
     foreign = [name for name in imported if name.split(".")[0] not in
                sys.stdlib_module_names | {"numpy", "fluxgrid"}]

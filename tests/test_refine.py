@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fluxgrid import (Grid2D, GrfSpec, RefineConfig, coarsen_block_mean,
+from fluxgrid import (Grid2D, GridPair, GrfSpec, RefineConfig, coarsen_block_mean,
                       gen_constant, gen_grf, gradient, make_pair, objective,
                       pde_loss, refine)
 from fluxgrid.errors import ConvergenceStallError, DimensionMismatchError
+from fluxgrid.refine import _Objective
+from fluxgrid.supergrid import FluxRatioLoss
 
 
 def grid(values, dx=1.0, dy=1.0):
@@ -310,6 +312,22 @@ class TestBuffers:
         refine(init, coarse, replace(cfg, max_iters=7))
         refine(first.final_field, coarse, cfg)
         assert np.array_equal(first.final_field.values, kept)
+
+    def test_analytic_gradient_takes_the_last_evaluation(self):
+        # the fidelity gradient reuses the last evaluation's T - T_init, so
+        # after evaluating at a and then b it is b's, not a's
+        init, coarse = noisy_pair(17, h=32, w=32, scale=4)
+        rng = np.random.default_rng(18)
+        a, b = (init.with_values(init.values + 0.1 * rng.normal(size=(32, 32)))
+                for _ in range(2))
+        obj = _Objective(init, init, coarse, RefineConfig(lambda_pde=0.8, cell_override=(2, 2)))
+        obj(a)
+        obj(b)
+        got = obj.gradient_into(np.empty((32, 32)), b)
+        want = (b.values - init.values) * (2.0 / b.values.size)
+        loss = FluxRatioLoss(GridPair.from_grids(coarse, init), cell_override=(2, 2))
+        loss.forward(b)
+        assert np.array_equal(got, loss.adjoint(want, scale=obj.lam))
 
     def test_stall_keeps_last_accepted_field(self):
         # step 1e10 is accepted after halvings for a while, then 30

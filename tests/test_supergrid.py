@@ -220,6 +220,9 @@ class TestAdjointInto:
         ((6, 8), (1, 2), (1, 2)),  # 1x4 fine cells
         ((8, 6), (2, 1), (2, 1)),  # 4x1 fine cells
         ((6, 6), (2, 2), (1, 1)),  # 2x2 fine cells
+        # 16-pixel-wide fine cells, H a multiple of 16 (padded column rows) or not
+        ((64, 64), (4, 4), (4, 4)),
+        ((40, 48), (4, 4), (5, 4)),
     ])
     def test_adds_scaled_gradient_into_out(self, shape, scales, cell):
         rng = np.random.default_rng(81)
@@ -237,6 +240,20 @@ class TestAdjointInto:
                                    atol=1e-12 * np.abs(buf0).max())
         # the lines are left as they were: a second plain call agrees bitwise
         assert np.array_equal(loss.adjoint(), plain)
+        if shape[0] % 16 == 0:  # the column rows' stride is an odd number of 64-byte lines
+            assert loss._cols.strides[0] % 128 == 64
+
+    def test_misuse_fails_before_touching_out(self):
+        rng = np.random.default_rng(82)
+        fine = grid(rng.normal(size=(32, 32)))
+        loss = FluxRatioLoss(make_pair(fine, 2, 2), cell_override=(4, 4))
+        with pytest.raises(ValueError, match="call forward first"):
+            loss.adjoint()
+        loss.forward(fine)
+        out = np.ones((16, 16))
+        with pytest.raises(DimensionMismatchError, match=r"\(16, 16\).*\(32, 32\)"):
+            loss.adjoint(out)
+        assert np.all(out == 1.0)
 
 
 def flux_arrays(rep):
