@@ -21,7 +21,7 @@ from .formats import read_csv, read_fgrd, write_fgrd
 from .grid_core import Grid2D, GridPair, check_scales, make_pair, upsample_quadratic
 from .metrics import metric_report
 from .refine import RefineConfig, refine
-from .spectral import ralsd
+from .spectral import ralsd, ralsd_pair
 from .supergrid import pde_loss
 from .synth import AdvDiffSpec, GrfSpec, gen_affine, gen_grf, step_advdiff
 
@@ -31,6 +31,13 @@ EXIT_USAGE = 2
 EXIT_DIMS = 3
 EXIT_DEGENERATE = 4
 EXIT_STALL = 5
+
+# (error types, exit code); the first match wins
+ERROR_EXITS = (((FormatError, CsvParseError, OSError), EXIT_IO),
+               ((DimensionMismatchError, TooSmallGridError), EXIT_DIMS),
+               ((DegenerateVarianceError, DegenerateSpectrumError), EXIT_DEGENERATE),
+               (ConvergenceStallError, EXIT_STALL),
+               ((ValueError, StabilityError), EXIT_USAGE))
 
 
 def _sha256(path):
@@ -90,12 +97,12 @@ def _print_field_summary(label, grid):
 
 
 def cmd_synth(args):
-    if args.mode == "grf":
+    if args.mode != "advdiff":  # before the field is built
         check_scales(args.height, args.width, args.scale, args.scale)
+    if args.mode == "grf":
         spec = GrfSpec(args.height, args.width, args.slope, args.seed, args.amplitude)
         fine = gen_grf(spec, args.dx, args.dy)
     elif args.mode == "affine":
-        check_scales(args.height, args.width, args.scale, args.scale)
         fine = gen_affine(args.height, args.width, args.a, args.b, args.c,
                           args.dx, args.dy)
     else:  # advdiff
@@ -159,8 +166,7 @@ def cmd_metrics(args):
 
     t3 = time.perf_counter()
     ref = upsample_quadratic(pair.coarse, pair.scale_y, pair.scale_x)
-    prof_pred = ralsd(pred, args.fit_lo, args.fit_hi, args.window)
-    prof_ref = ralsd(ref, prof_pred.fit_lo, prof_pred.fit_hi, args.window)
+    prof_pred, prof_ref = ralsd_pair(pred, ref, args.fit_lo, args.fit_hi, args.window)
     l_spec = abs(prof_pred.alpha - prof_ref.alpha)
     t_spec = time.perf_counter() - t3
 
@@ -258,17 +264,24 @@ def build_parser():
         sp.add_argument("--out-coarse")
         sp.set_defaults(func=cmd_synth)
 
+    def add_dims(sp):
+        sp.add_argument("--h", dest="height", type=int, required=True)
+        sp.add_argument("--w", dest="width", type=int, required=True)
+
+    def add_fit(sp):
+        sp.add_argument("--fit-lo", type=int, default=None)
+        sp.add_argument("--fit-hi", type=int, default=None)
+        sp.add_argument("--window", action="store_true")
+
     p_grf = synth_sub.add_parser("grf", help="power-law Gaussian random field")
-    p_grf.add_argument("--h", dest="height", type=int, required=True)
-    p_grf.add_argument("--w", dest="width", type=int, required=True)
+    add_dims(p_grf)
     p_grf.add_argument("--seed", type=int, default=0)
     p_grf.add_argument("--slope", type=float, required=True)
     p_grf.add_argument("--amplitude", type=float, default=1.0)
     add_synth_common(p_grf)
 
     p_aff = synth_sub.add_parser("affine", help="a*x + b*y + c at cell centers")
-    p_aff.add_argument("--h", dest="height", type=int, required=True)
-    p_aff.add_argument("--w", dest="width", type=int, required=True)
+    add_dims(p_aff)
     p_aff.add_argument("--a", type=float, default=0.0)
     p_aff.add_argument("--b", type=float, default=0.0)
     p_aff.add_argument("--c", type=float, default=0.0)
@@ -297,9 +310,7 @@ def build_parser():
                        help="remove the per-cell boundary mean of T first")
     p_met.add_argument("--cell", type=_parse_cell, default=None,
                        help="supergrid cell dims CHxCW (default: gcd rule)")
-    p_met.add_argument("--fit-lo", type=int, default=None)
-    p_met.add_argument("--fit-hi", type=int, default=None)
-    p_met.add_argument("--window", action="store_true")
+    add_fit(p_met)
     p_met.add_argument("--out", help="write the JSON report here")
     p_met.set_defaults(func=cmd_metrics)
 
@@ -321,9 +332,7 @@ def build_parser():
 
     p_ral = sub.add_parser("ralsd", help="radial spectrum profile and slope")
     p_ral.add_argument("grid")
-    p_ral.add_argument("--fit-lo", type=int, default=None)
-    p_ral.add_argument("--fit-hi", type=int, default=None)
-    p_ral.add_argument("--window", action="store_true")
+    add_fit(p_ral)
     p_ral.add_argument("--out-profile")
     p_ral.set_defaults(func=cmd_ralsd)
     return parser
@@ -334,27 +343,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, CsvParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DimensionMismatchError, TooSmallGridError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMS
-    except (DegenerateVarianceError, DegenerateSpectrumError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ConvergenceStallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STALL
-    except (ValueError, StabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        code = next((code for types, code in ERROR_EXITS if isinstance(exc, types)), None)
+        if code is None:
+            raise
+        message = f"file not found: {exc.filename}" if isinstance(exc, FileNotFoundError) else exc
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 def entry():

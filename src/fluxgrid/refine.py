@@ -6,7 +6,8 @@ through one _Objective, which builds the grid pair and the FluxRatioLoss
 once per call. Its numeric gradient (central differences per pixel over
 that J) is the reference; the analytic one, FluxRatioLoss.adjoint of the
 last evaluation, is gated on agreement with it; it reuses that evaluation's
-T - T_init as well, so the fidelity gradient is one pass over the grid.
+T - T_init as well, so the fidelity gradient is one pass over the grid, and
+the fidelity is that difference's dot product with itself.
 Full-grid arrays are allocated once per call; candidates alternate between
 two buffers, never overwriting init.values or the accepted field, and are
 rejected on overflow.
@@ -70,13 +71,12 @@ class _Objective:
         self.flux = FluxRatioLoss(GridPair.from_grids(coarse, fine), cfg.eps,
                                   cfg.cell_override, cfg.ratio_eps)
         self.init, self.cfg, self.lam = init, cfg, cfg.lambda_pde
-        # T - T_init at the last evaluation, and its square
-        self._diff, self._sq = np.empty(fine.values.shape), np.empty(fine.values.shape)
+        self._diff = np.empty(fine.values.shape)  # T - T_init at the last evaluation
 
     def __call__(self, fine):
         """(total, fidelity, PdeLossResult) at fine."""
         diff = np.subtract(fine.values, self.init.values, out=self._diff)
-        fid = float(np.mean(np.square(diff, out=self._sq)))
+        fid = float(np.einsum("ij,ij", diff, diff) / diff.size)
         result = self.flux.forward(fine)
         return fid + self.lam * result.loss, fid, result
 

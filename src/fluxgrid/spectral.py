@@ -155,8 +155,9 @@ def ralsd(grid, fit_lo=None, fit_hi=None, window=False):
     return profile
 
 
-def spectral_loss(pred, ref, fit_lo=None, fit_hi=None, window=False):
-    """Absolute difference of the fitted slopes of two same-shape grids."""
+def ralsd_pair(pred, ref, fit_lo=None, fit_hi=None, window=False):
+    """ralsd profiles of two same-shape grids, ref's over pred's fit range;
+    a degenerate spectrum names its grid."""
     if (pred.height, pred.width) != (ref.height, ref.width):
         raise ValueError(
             f"pred is {pred.height}x{pred.width}, ref is {ref.height}x{ref.width}; "
@@ -169,4 +170,10 @@ def spectral_loss(pred, ref, fit_lo=None, fit_hi=None, window=False):
         p_ref = ralsd(ref, p_pred.fit_lo, p_pred.fit_hi, window)
     except DegenerateSpectrumError as exc:
         raise DegenerateSpectrumError(f"ref grid: {exc}") from exc
+    return p_pred, p_ref
+
+
+def spectral_loss(pred, ref, fit_lo=None, fit_hi=None, window=False):
+    """Absolute difference of the fitted slopes of two same-shape grids."""
+    p_pred, p_ref = ralsd_pair(pred, ref, fit_lo, fit_hi, window)
     return abs(p_pred.alpha - p_ref.alpha)

@@ -16,21 +16,23 @@ stencils on those lines (25% of the pixels, once per direction, at 16x16).
 Per-cell sums add up each cell's stretch of its lines.
 
 One private kernel, _fluxes, walks the grid in bands of cell rows. A band's
-line quantities (t, the two derivatives, |grad T|, u and t * u) live in
-per-axis scratch of about BAND_ELEMS elements per array, the column lines
-with one halo row either side so that the derivative along them keeps its
-centred stencil; only the per-line, per-cell sums leave a band, so
-cell_fluxes and pde_loss keep no line arrays. With anomaly, a pre-pass over
-t takes each cell's boundary mean of T first. Scratch that spans the grid
-holds it as one band, and that is how a FluxRatioLoss keeps the lines its
-adjoint needs: its first adjoint call swaps the scratch for whole lines. The
-adjoint back-propagates on them and adds into the rows and columns the
-stencils read (findiff.line_gradient_adjoint), so a pixel two or more pixels
-away from every edge line never enters. The column lines add into a (W, H)
-accumulator, which is added into the gradient transposed. When H is a
-multiple of 16 its rows are padded to an odd number of 64-byte lines: a row
-stride of a multiple of 128 bytes (4 KB at H = 512) maps each column of the
-transposed walk to one cache set, and the add took twice as long.
+line quantities (t, the two derivatives, |grad T| and u) live in per-axis
+scratch of about BAND_ELEMS elements per array, the column lines with one
+halo row either side so that the derivative along them keeps its centred
+stencil; only the per-line, per-cell sums leave a band, and the sums of
+t * u take the product inside their einsum, so cell_fluxes and pde_loss
+keep no line arrays. With anomaly, a pre-pass over t takes each cell's
+boundary mean of T first, and each band subtracts it from its t in place.
+Scratch that spans the grid holds it as one band, and that is how a
+FluxRatioLoss keeps the lines its adjoint needs: its first adjoint call swaps
+the scratch for whole lines. The adjoint back-propagates on them and adds
+into the rows and columns the stencils read (findiff.line_gradient_adjoint),
+so a pixel two or more pixels away from every edge line never enters. The
+column lines add into a (W, H) accumulator, which is added into the gradient
+transposed. When H is a multiple of 16 its rows are padded to an odd number
+of 64-byte lines: a row stride of a multiple of 128 bytes (4 KB at H = 512)
+maps each column of the transposed walk to one cache set, and the add took
+twice as long.
 """
 
 import math
@@ -119,10 +121,10 @@ class _EdgeLines:
     lines lists each cell's first line and then its last line, cell by cell,
     so a one-pixel-thin cell lists its line twice; arrays on the lines (and
     their per-cell sums) hold first lines at even and last lines at odd
-    positions along axis. _fluxes fills t, g_along, g_normal, mag, u (the
-    normal component of the unit vector) and tu (t, less its cell's boundary
-    mean with anomaly, times u) one band of cell rows at a time, and d with
-    the spacings along and across; cell_len is a cell's extent along a line.
+    positions along axis. _fluxes fills t (less its cell's boundary mean with
+    anomaly), g_along, g_normal, mag and u (the normal component of the unit
+    vector) one band of cell rows at a time, and d with the spacings along
+    and across; cell_len is a cell's extent along a line.
     The arrays hold one band: the whole lines if it spans the grid.
     """
 
@@ -134,7 +136,6 @@ class _EdgeLines:
     g_normal: np.ndarray
     mag: np.ndarray
     u: np.ndarray
-    tu: np.ndarray
     d: tuple = None
 
 
@@ -148,7 +149,7 @@ def _line_tables(part, band=None):
     band = min(band, part.n_rows)
     halo = 2 if band < part.n_rows else 0
     return [_EdgeLines(axis, (np.arange(n)[:, None] * cell + [0, cell - 1]).ravel(), cell_len,
-                       *(np.empty(shape) for _ in range(6)))
+                       *(np.empty(shape) for _ in range(5)))
             for axis, cell, n, cell_len, shape in (
                 (0, cell_h, part.n_rows, part.cell_w, (2 * band, n_cols * part.cell_w)),
                 (1, part.cell_w, n_cols, cell_h, (band * cell_h + halo, 2 * n_cols)))]
@@ -179,16 +180,12 @@ def _cells(ln, x):
     return x.reshape(-1, ln.cell_len, x.shape[1])
 
 
-def _line_sums(ln, x, out):
-    """Sums of x, given on the lines, over each cell's stretch of each line,
-    into out: (lines, n_cols) for axis 0, (n_rows, lines) for axis 1."""
-    # einsum: sum over a short last axis is slow
-    np.einsum("ijk->ij" if ln.axis == 0 else "ijk->ik", _cells(ln, x), out=out)
-
-
-def _spread(ln, g):
-    """Adjoint of _line_sums: g on every entry of its stretch of its line."""
-    return np.repeat(g, ln.cell_len, axis=1 - ln.axis)
+def _line_sums(ln, out, *xs):
+    """Sums of the product of xs, given on the lines, over each cell's stretch
+    of each line, into out: (lines, n_cols) for axis 0, (n_rows, lines) for axis 1."""
+    # einsum: sum over a short last axis is slow, and the product needs no array
+    np.einsum(",".join(["ijk"] * len(xs)) + ("->ij" if ln.axis == 0 else "->ik"),
+              *(_cells(ln, x) for x in xs), out=out)
 
 
 def _boundary_mean(part, sums, outward=False):
@@ -203,13 +200,15 @@ def _boundary_mean(part, sums, outward=False):
 
 
 def _boundary_mean_adjoint(part, lines, per_cell, outward=False):
-    """Adjoint of _boundary_mean: the gradient, laid out like _line_sums, of a
-    function of it whose gradient with respect to the per-cell means is per_cell."""
+    """Adjoint of _boundary_mean: for each axis of lines in turn, the gradient
+    on its lines of a function of it whose gradient with respect to the
+    per-cell means is per_cell."""
     per_cell = per_cell / (2 * (part.cell_h + part.cell_w))
     first = -per_cell if outward else per_cell
-    # interleaved along axis: (2 * n_rows, n_cols) or (n_rows, 2 * n_cols)
-    return [np.stack([first, per_cell], ln.axis + 1).reshape(len(per_cell) * (2 - ln.axis), -1)
-            for ln in lines]
+    # interleaved along axis like the line sums, then over each cell's stretch
+    return (np.repeat(np.stack([first, per_cell], ln.axis + 1).reshape(
+                len(per_cell) * (2 - ln.axis), -1), ln.cell_len, axis=1 - ln.axis)
+            for ln in lines)
 
 
 def _fluxes(grid, part, lines, eps, ratio_eps, anomaly=False):
@@ -226,25 +225,22 @@ def _fluxes(grid, part, lines, eps, ratio_eps, anomaly=False):
     if anomaly:  # adv holds the line sums of T until the main pass
         for ln, slab, sel, n, rows, dst in _bands(grid, part, lines):
             t = np.take(slab, sel, ln.axis, out=ln.t[:n], mode="clip")
-            _line_sums(ln, t[rows], adv[ln.axis][dst])
+            _line_sums(ln, adv[ln.axis][dst], t[rows])
         t_mean = _boundary_mean(part, adv)
         t_mean = [np.repeat(t_mean, 2, axis) for axis in (0, 1)]  # laid out like the sums
     for ln, slab, sel, n, rows, dst in _bands(grid, part, lines):
-        t, g_along, g_normal, mag, u, tu = (x[:n] for x in (ln.t, ln.g_along, ln.g_normal,
-                                                            ln.mag, ln.u, ln.tu))
+        t, g_along, g_normal, mag, u = (x[:n] for x in (ln.t, ln.g_along, ln.g_normal,
+                                                        ln.mag, ln.u))
         line_gradient(slab, sel, ln.axis, *ln.d, (t, g_along, g_normal))
         np.multiply(g_along, g_along, out=mag)  # |grad T|, u as scratch
         mag += np.multiply(g_normal, g_normal, out=u)
         np.sqrt(mag, out=mag)
         np.divide(g_normal, np.add(mag, eps, out=u), out=u)
-        if anomaly:
-            np.subtract(_cells(ln, t[rows]), np.expand_dims(t_mean[ln.axis][dst], 2 - ln.axis),
-                        out=_cells(ln, tu[rows]))
-            tu[rows] *= u[rows]
-        else:
-            np.multiply(t, u, out=tu)
-        _line_sums(ln, tu[rows], adv[ln.axis][dst])
-        _line_sums(ln, mag[rows], diff[ln.axis][dst])
+        if anomaly:  # a view: the band's t, less its cells' boundary means
+            cells = _cells(ln, t[rows])
+            cells -= np.expand_dims(t_mean[ln.axis][dst], 2 - ln.axis)
+        _line_sums(ln, adv[ln.axis][dst], t[rows], u[rows])
+        _line_sums(ln, diff[ln.axis][dst], mag[rows])
     phi_adv = _boundary_mean(part, adv, outward=True)
     phi_diff = _boundary_mean(part, diff)
     r_eff = phi_adv / (phi_diff + ratio_eps)
@@ -347,11 +343,10 @@ class FluxRatioLoss:
 
         out = np.zeros(self._cols.T.shape) if out is None else out
         self._cols.fill(0.0)
-        for ln, acc, g_a, g_m in zip(lines, (out, self._cols.T), g_adv, g_mag):
+        for ln, acc, g_tu, radial in zip(lines, (out, self._cols.T), g_adv, g_mag):
             # back through u = g_normal / (|grad T| + eps) and |grad T|:
             # (g_along, g_normal) gets grad T * radial plus inv * g_u on g_normal,
             # radial = (g_mag - inv * g_u * u) / |grad T|, 0 where |grad T| = 0
-            g_tu, radial = _spread(ln, g_a), _spread(ln, g_m)
             inv = np.divide(1.0, ln.mag + self.eps)
             g_u = inv * (g_tu * ln.t)
             radial -= np.multiply(g_u, ln.u, out=inv)

@@ -266,6 +266,14 @@ class TestMetrics:
         const.write_text("\n".join(",".join(["1.0"] * 32) for _ in range(32)) + "\n")
         assert main(["metrics", str(fp), str(const), str(cp)]) == 4
 
+    def test_constant_coarse_names_the_ref_grid(self, tmp_path, capsys):
+        # the spectrum that fails is the upsampled coarse reference's
+        fp, _ = write_pair(tmp_path, h=64, w=64)
+        const = tmp_path / "const.fgrd"
+        write_fgrd(Grid2D(16, 16, 4.0, 4.0, np.full((16, 16), 2.5)), const)
+        assert main(["metrics", str(fp), str(fp), str(const), "--cell", "4x4"]) == 4
+        assert "ref grid: zero power" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0.1", "-3.7"])  # constants with inexact means
     def test_inexact_constant_truth_exit_4(self, tmp_path, capsys, value):
         fp, cp = write_pair(tmp_path)

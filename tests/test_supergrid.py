@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fluxgrid import (Grid2D, GridPair, build_partition, cell_fluxes,
+from fluxgrid import (Grid2D, GridPair, RefineConfig, build_partition, cell_fluxes,
                       choose_supergrid, coarsen_block_mean, gen_grf, GrfSpec,
-                      make_pair, pde_loss, upsample_quadratic)
+                      make_pair, pde_loss, refine, upsample_quadratic)
 from fluxgrid.errors import DimensionMismatchError
 from fluxgrid import supergrid
 from fluxgrid.supergrid import FluxRatioLoss
@@ -337,3 +337,16 @@ class TestBands:
         finally:
             tracemalloc.stop()
         assert peak < 3 * fine.values.nbytes
+
+    def test_refine_peak_memory(self):
+        # refine's own full-grid arrays (the gradient, two candidates and the
+        # fidelity difference) plus the adjoint's whole lines and accumulators
+        fine = grid(np.random.default_rng(95).normal(size=(256, 256)))
+        pair = make_pair(fine, 4, 4)
+        tracemalloc.start()
+        try:
+            refine(fine, pair.coarse, RefineConfig(max_iters=3, cell_override=(4, 4)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.75 * fine.values.nbytes
