@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 I/O, 2 usage, 3 dimension mismatch,
 import argparse
 import gc
 import sys
+import threading
 import time
 
 import numpy as np
@@ -22,7 +23,7 @@ from .grid_core import Grid2D, GridPair, check_scales, make_pair, upsample_quadr
 from .metrics import metric_report
 from .refine import RefineConfig, refine
 from .spectral import ralsd, ralsd_pair
-from .supergrid import pde_loss
+from .supergrid import choose_supergrid, pde_loss
 from .synth import AdvDiffSpec, GrfSpec, gen_affine, gen_grf, step_advdiff
 
 EXIT_OK = 0
@@ -47,6 +48,12 @@ def _sha256(path):
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _input_hashes(args):
+    return {name: {"path": path, "sha256": _sha256(path)}
+            for name, path in (("pred", args.pred), ("truth", args.truth),
+                               ("coarse", args.coarse))}
 
 
 def _load_grid(path):
@@ -140,44 +147,88 @@ def cmd_synth(args):
     return EXIT_OK
 
 
+class _Background(threading.Thread):
+    """Runs calls in order on a thread of its own and stops at the first that
+    raises. result(i) joins the thread, then returns call i's result or
+    re-raises the error that stopped the calls before it returned."""
+
+    def __init__(self, *calls):
+        super().__init__()
+        self._calls, self._results, self._error = calls, [], None
+        self.start()
+
+    def run(self):
+        try:
+            for call in self._calls:
+                self._results.append(call())
+        except BaseException as exc:  # handed to the joining thread
+            self._error = exc
+
+    def result(self, index):
+        self.join()
+        if index < len(self._results):
+            return self._results[index]
+        raise self._error
+
+
+def _timed(func, *args, **kwargs):
+    t0 = time.perf_counter()
+    return func(*args, **kwargs), time.perf_counter() - t0
+
+
+def _warn_degenerate_reference(coarse, cell):
+    """The warning for a coarse grid whose every cell has r_eff = 0. Larger
+    cells are advised unless the grid is constant: its r_eff is 0 at any size."""
+    advice = "" if np.ptp(coarse.values) == 0 else "; pass --cell CHxCW with larger cells"
+    print(f"warning: every coarse {cell[0]}x{cell[1]} cell has r_eff = 0, so L_flux "
+          f"ignores the coarse grid{advice}", file=sys.stderr)
+
+
 def cmd_metrics(args):
+    """The stages after loading run on two threads, the flux loss and then the
+    hashes beside the pixel metrics and then the spectra, and report as the
+    serial order would: load, pixel metrics, pairing, flux, the warning,
+    spectra, hashes. The earliest failing stage's error wins."""
     t0 = time.perf_counter()
     pred = _load_grid(args.pred)
     truth = _load_grid(args.truth)
     coarse = _load_grid(args.coarse)
     t_load = time.perf_counter() - t0
 
-    t1 = time.perf_counter()
-    report = metric_report(pred, truth)
-    t_metrics = time.perf_counter() - t1
-    del truth  # its memory serves the passes below
-    pair = _pair(coarse, args.coarse, pred)
-
-    t2 = time.perf_counter()
-    flux = pde_loss(pair, pred, eps=args.eps, cell_override=args.cell,
-                    ratio_eps=args.ratio_eps, anomaly=args.anomaly)
-    t_flux = time.perf_counter() - t2
-    r_c = flux.coarse_report.r_eff
-    cell = [coarse.height // r_c.shape[0], coarse.width // r_c.shape[1]]
-    degenerate = bool(np.all(r_c == 0.0))
-    if degenerate:
-        print(f"warning: every coarse {cell[0]}x{cell[1]} cell has r_eff = 0, so L_flux "
-              "ignores the coarse grid; pass --cell CHxCW with larger cells", file=sys.stderr)
-
-    t3 = time.perf_counter()
-    ref = upsample_quadratic(pair.coarse, pair.scale_y, pair.scale_x)
-    prof_pred, prof_ref = ralsd_pair(pred, ref, args.fit_lo, args.fit_hi, args.window)
-    l_spec = abs(prof_pred.alpha - prof_ref.alpha)
-    t_spec = time.perf_counter() - t3
+    try:
+        pair = _pair(coarse, args.coarse, pred)
+    except (DimensionMismatchError, ValueError):
+        metric_report(pred, truth)  # its error is the earlier stage's
+        raise
+    background = _Background(
+        lambda: _timed(pde_loss, pair, pred, eps=args.eps, cell_override=args.cell,
+                       ratio_eps=args.ratio_eps, anomaly=args.anomaly),
+        lambda: _timed(_input_hashes, args))
+    try:
+        report, t_metrics = _timed(metric_report, pred, truth)
+    except BaseException:
+        background.join()
+        raise
+    # the spectra allocate only once truth is freed, so that their arrays take
+    # its memory and the peak stays that of the serial command
+    del truth
+    try:
+        t1 = time.perf_counter()
+        ref = upsample_quadratic(pair.coarse, pair.scale_y, pair.scale_x)
+        prof_pred, prof_ref = ralsd_pair(pred, ref, args.fit_lo, args.fit_hi, args.window)
+        l_spec = abs(prof_pred.alpha - prof_ref.alpha)
+        t_spec = time.perf_counter() - t1
+    finally:  # a flux error, the earlier stage's, replaces a spectral one
+        flux, t_flux = background.result(0)
+        r_c = flux.coarse_report.r_eff
+        cell = [coarse.height // r_c.shape[0], coarse.width // r_c.shape[1]]
+        degenerate = bool(np.all(r_c == 0.0))
+        if degenerate:
+            _warn_degenerate_reference(coarse, cell)
+    inputs, t_hash = background.result(1)
 
     report.l_flux, report.l_spec = flux.loss, l_spec
     r_f = flux.fine_report.r_eff
-
-    t4 = time.perf_counter()
-    inputs = {name: {"path": path, "sha256": _sha256(path)}
-              for name, path in (("pred", args.pred), ("truth", args.truth),
-                                 ("coarse", args.coarse))}
-    t_hash = time.perf_counter() - t4
     doc = {
         "tool_version": __version__,
         "inputs": inputs,
@@ -218,12 +269,16 @@ def cmd_refine(args):
                        max_iters=args.iters, grad_mode=args.grad_mode,
                        fd_h=args.fd_h, tol=args.tol, eps=args.eps,
                        cell_override=args.cell)
+    coarse = _pair(coarse, args.coarse, init).coarse
     try:
-        trace = refine(init, _pair(coarse, args.coarse, init).coarse, cfg)
+        trace = refine(init, coarse, cfg)
     except ConvergenceStallError as exc:
         if args.trace and exc.trace is not None:
             _write_trace_csv(exc.trace, args.trace)
         raise
+    if trace.reference_degenerate:
+        _warn_degenerate_reference(coarse, args.cell or choose_supergrid(coarse.height,
+                                                                         coarse.width))
     write_fgrd(trace.final_field, args.out)
     if args.trace:
         _write_trace_csv(trace, args.trace)

@@ -58,6 +58,7 @@ class RefineTrace:
     final_field: Grid2D | None = None
     lambda_used: float = 0.0
     converged: bool = False
+    reference_degenerate: bool = False  # every coarse cell has r_eff = 0
 
 
 class _Objective:
@@ -123,7 +124,8 @@ def refine(init, coarse, cfg):
     total = fid + obj.lam * result.loss
 
     trace = RefineTrace(objective=[total], fidelity=[fid], pde=[result.loss],
-                        lambda_used=obj.lam)
+                        lambda_used=obj.lam,
+                        reference_degenerate=bool(np.all(result.coarse_report.r_eff == 0.0)))
     current = init
 
     for _ in range(cfg.max_iters):

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -274,6 +275,75 @@ class TestMetrics:
         assert main(["metrics", str(fp), str(fp), str(const), "--cell", "4x4"]) == 4
         assert "ref grid: zero power" in capsys.readouterr().err
 
+    def test_constant_coarse_gives_no_cell_advice(self, tmp_path, capsys):
+        # a constant grid has r_eff = 0 at any cell size, so larger cells cannot help
+        fp, _ = write_pair(tmp_path, h=64, w=64)
+        const = tmp_path / "const.fgrd"
+        write_fgrd(Grid2D(16, 16, 4.0, 4.0, np.full((16, 16), 2.5)), const)
+        assert main(["metrics", str(fp), str(fp), str(const), "--cell", "4x4"]) == 4
+        assert capsys.readouterr().err == (
+            "warning: every coarse 4x4 cell has r_eff = 0, so L_flux ignores the coarse grid\n"
+            "error: ref grid: zero power inside fit bins [3, 15]; log fit undefined\n")
+
+    def test_flux_error_wins_over_spectral_error(self, tmp_path, capsys):
+        fp, cp = write_pair(tmp_path)
+        assert main(["metrics", str(fp), str(fp), str(cp), "--cell", "5x5",
+                     "--fit-lo=-3"]) == 3
+        assert capsys.readouterr().err == "error: cell_h=5 does not divide grid height=16\n"
+
+    def test_warning_comes_before_spectral_error(self, tmp_path, capsys):
+        fp, cp = write_pair(tmp_path)  # 16x16 coarse grid: gcd cells are 1x1
+        assert main(["metrics", str(fp), str(fp), str(cp), "--fit-lo=-3"]) == 2
+        assert capsys.readouterr().err == (
+            "warning: every coarse 1x1 cell has r_eff = 0, so L_flux ignores the coarse grid; "
+            "pass --cell CHxCW with larger cells\n"
+            "error: fit range [-3, 7] is not within the bins [0, 22]\n")
+
+    def test_metrics_error_wins_over_pairing_error(self, tmp_path, capsys):
+        fp, _ = write_pair(tmp_path)
+        const, odd = tmp_path / "const.csv", tmp_path / "odd.fgrd"
+        const.write_text("\n".join(",".join(["0.1"] * 32) for _ in range(32)) + "\n")
+        write_fgrd(gen_grf(GrfSpec(24, 24, -2.0, 0)), odd)
+        assert main(["metrics", str(fp), str(const), str(odd)]) == 4
+        assert capsys.readouterr().err == "error: truth field is constant; R^2 undefined\n"
+
+    def test_spectral_error_wins_over_hash_error(self, tmp_path, capsys, monkeypatch):
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "_sha256", unreadable)
+        fp, cp = write_pair(tmp_path)
+        argv = ["metrics", str(fp), str(fp), str(cp), "--cell", "4x4"]
+        assert main([*argv, "--fit-lo=-3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: fit range [-3, 7] is not within the bins [0, 22]\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{fp}'\n"
+
+    @pytest.mark.parametrize("extra, code", [([], 0), (["--cell", "5x5", "--fit-lo=-3"], 3),
+                                             (["--fit-lo=-3"], 2)])
+    def test_no_thread_outlives_the_command(self, tmp_path, capsys, extra, code):
+        fp, cp = write_pair(tmp_path)
+        before = threading.active_count()
+        assert main(["metrics", str(fp), str(fp), str(cp), *extra]) == code
+        assert threading.active_count() == before
+
+    def test_report_same_under_fast_thread_switching(self, tmp_path):
+        fp, cp = write_pair(tmp_path, seed=3)
+        docs = []
+        for interval in (sys.getswitchinterval(), 1e-6):
+            old, out = sys.getswitchinterval(), tmp_path / "report.json"
+            sys.setswitchinterval(interval)
+            try:
+                assert main(["metrics", str(fp), str(fp), str(cp), "--anomaly", "--cell", "2x2",
+                             "--out", str(out)]) == 0
+            finally:
+                sys.setswitchinterval(old)
+            doc = json.loads(out.read_text())
+            doc.pop("timing")
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
     @pytest.mark.parametrize("value", ["0.1", "-3.7"])  # constants with inexact means
     def test_inexact_constant_truth_exit_4(self, tmp_path, capsys, value):
         fp, cp = write_pair(tmp_path)
@@ -310,6 +380,17 @@ class TestRefine:
         assert lines[0] == "iter,objective,fidelity,pde"
         objs = [float(line.split(",")[1]) for line in lines[1:]]
         assert objs == sorted(objs, reverse=True) or len(objs) == 1
+
+    def test_degenerate_reference_warning(self, tmp_path, capsys):
+        fp, cp = write_pair(tmp_path)  # 16x16 coarse grid: gcd cells are 1x1
+        assert main(["refine", str(fp), str(cp), "--iters", "2",
+                     "--out", str(tmp_path / "o.fgrd")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: every coarse 1x1 cell has r_eff = 0, so L_flux ignores the coarse grid; "
+            "pass --cell CHxCW with larger cells\n")
+        assert main(["refine", str(fp), str(cp), "--iters", "2", "--cell", "4x4",
+                     "--out", str(tmp_path / "o.fgrd")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_init_io_error(self, tmp_path):
         _, cp = write_pair(tmp_path)
