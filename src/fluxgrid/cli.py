@@ -23,7 +23,7 @@ from .grid_core import Grid2D, GridPair, check_scales, make_pair, upsample_quadr
 from .metrics import metric_report
 from .refine import RefineConfig, refine
 from .spectral import ralsd, ralsd_pair
-from .supergrid import choose_supergrid, pde_loss
+from .supergrid import pde_loss
 from .synth import AdvDiffSpec, GrfSpec, gen_affine, gen_grf, step_advdiff
 
 EXIT_OK = 0
@@ -39,6 +39,12 @@ ERROR_EXITS = (((FormatError, CsvParseError, OSError), EXIT_IO),
                ((DegenerateVarianceError, DegenerateSpectrumError), EXIT_DEGENERATE),
                (ConvergenceStallError, EXIT_STALL),
                ((ValueError, StabilityError), EXIT_USAGE))
+
+# synth advdiff's scenario: (config key and flag dest, flag, type, default)
+ADVDIFF_KEYS = (("h", "--h", int, 64), ("w", "--w", int, 64), ("seed", "--seed", int, 0),
+                ("init_slope", "--init-slope", float, -2.5), ("ux", "--ux", float, 0.0),
+                ("uy", "--uy", float, 0.0), ("diffusivity", "--D", float, 0.0),
+                ("dt", "--dt", float, 0.1), ("steps", "--steps", int, 0))
 
 
 def _sha256(path):
@@ -84,17 +90,24 @@ def _parse_cell(text):
 
 
 def _read_config(path):
-    """key = value lines; blank lines and #-comments ignored."""
+    """key = value lines of ADVDIFF_KEYS, each value of its key's type; blank
+    lines and #-comments ignored."""
+    types = {key: cast for key, _, cast, _ in ADVDIFF_KEYS}
     conf = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"config line {line_no}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            conf[key] = value
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq or key not in types:
+                raise ValueError(f"config line {line_no}: expected key = value with a key "
+                                 f"of {', '.join(types)}, got {line!r}")
+            try:
+                conf[key] = types[key](value)
+            except ValueError:
+                raise ValueError(f"config line {line_no}: {key} = {value!r} does not parse "
+                                 f"as {types[key].__name__}") from None
     return conf
 
 
@@ -104,39 +117,22 @@ def _print_field_summary(label, grid):
 
 
 def cmd_synth(args):
-    if args.mode != "advdiff":  # before the field is built
-        check_scales(args.height, args.width, args.scale, args.scale)
-    if args.mode == "grf":
-        spec = GrfSpec(args.height, args.width, args.slope, args.seed, args.amplitude)
-        fine = gen_grf(spec, args.dx, args.dy)
-    elif args.mode == "affine":
-        fine = gen_affine(args.height, args.width, args.a, args.b, args.c,
-                          args.dx, args.dy)
-    else:  # advdiff
+    if args.mode == "advdiff":
         conf = _read_config(args.config) if args.config else {}
-
-        def pick(flag, key, cast, default):
-            if flag is not None:
-                return flag
-            if key in conf:
-                return cast(conf[key])
-            return default
-
-        h = pick(args.height_opt, "h", int, 64)
-        w = pick(args.width_opt, "w", int, 64)
-        check_scales(h, w, args.scale, args.scale)  # before the run
-        seed = pick(args.seed_opt, "seed", int, 0)
-        init_slope = pick(args.init_slope, "init_slope", float, -2.5)
-        initial = gen_grf(GrfSpec(h, w, init_slope, seed), args.dx, args.dy)
-        spec = AdvDiffSpec(
-            u_x=pick(args.ux, "ux", float, 0.0),
-            u_y=pick(args.uy, "uy", float, 0.0),
-            diffusivity=pick(args.diffusivity, "diffusivity", float, 0.0),
-            dt=pick(args.dt, "dt", float, 0.1),
-            steps=pick(args.steps, "steps", int, 0),
-            initial=initial,
-        )
-        fine = step_advdiff(spec)
+        for key, _, _, default in ADVDIFF_KEYS:  # flag, then config file, then default
+            if getattr(args, key) is None:
+                setattr(args, key, conf.get(key, default))
+    check_scales(args.h, args.w, args.scale, args.scale)  # before the field is built
+    if args.mode == "grf":
+        fine = gen_grf(GrfSpec(args.h, args.w, args.slope, args.seed, args.amplitude),
+                       args.dx, args.dy)
+    elif args.mode == "affine":
+        fine = gen_affine(args.h, args.w, args.a, args.b, args.c, args.dx, args.dy)
+    else:  # advdiff
+        initial = gen_grf(GrfSpec(args.h, args.w, args.init_slope, args.seed),
+                          args.dx, args.dy)
+        fine = step_advdiff(AdvDiffSpec(args.ux, args.uy, args.diffusivity, args.dt,
+                                        args.steps, initial))
 
     pair = make_pair(fine, args.scale, args.scale)
     write_fgrd(pair.fine, args.out_fine)
@@ -176,12 +172,18 @@ def _timed(func, *args, **kwargs):
     return func(*args, **kwargs), time.perf_counter() - t0
 
 
-def _warn_degenerate_reference(coarse, cell):
-    """The warning for a coarse grid whose every cell has r_eff = 0. Larger
-    cells are advised unless the grid is constant: its r_eff is 0 at any size."""
-    advice = "" if np.ptp(coarse.values) == 0 else "; pass --cell CHxCW with larger cells"
-    print(f"warning: every coarse {cell[0]}x{cell[1]} cell has r_eff = 0, so L_flux "
-          f"ignores the coarse grid{advice}", file=sys.stderr)
+def _reference_verdict(coarse, r_eff):
+    """(cell, degenerate) of the flux reference: the coarse cell dims its per-cell
+    r_eff was taken over, and whether every r_eff is 0. A degenerate reference
+    gets a warning, which advises larger cells unless the grid is constant: its
+    r_eff is 0 at any size."""
+    cell = [coarse.height // r_eff.shape[0], coarse.width // r_eff.shape[1]]
+    degenerate = not r_eff.any()
+    if degenerate:
+        advice = "" if np.ptp(coarse.values) == 0 else "; pass --cell CHxCW with larger cells"
+        print(f"warning: every coarse {cell[0]}x{cell[1]} cell has r_eff = 0, so L_flux "
+              f"ignores the coarse grid{advice}", file=sys.stderr)
+    return cell, degenerate
 
 
 def cmd_metrics(args):
@@ -220,11 +222,7 @@ def cmd_metrics(args):
         t_spec = time.perf_counter() - t1
     finally:  # a flux error, the earlier stage's, replaces a spectral one
         flux, t_flux = background.result(0)
-        r_c = flux.coarse_report.r_eff
-        cell = [coarse.height // r_c.shape[0], coarse.width // r_c.shape[1]]
-        degenerate = bool(np.all(r_c == 0.0))
-        if degenerate:
-            _warn_degenerate_reference(coarse, cell)
+        cell, degenerate = _reference_verdict(coarse, flux.coarse_report.r_eff)
     inputs, t_hash = background.result(1)
 
     report.l_flux, report.l_spec = flux.loss, l_spec
@@ -276,9 +274,7 @@ def cmd_refine(args):
         if args.trace and exc.trace is not None:
             _write_trace_csv(exc.trace, args.trace)
         raise
-    if trace.reference_degenerate:
-        _warn_degenerate_reference(coarse, args.cell or choose_supergrid(coarse.height,
-                                                                         coarse.width))
+    _reference_verdict(coarse, trace.coarse_report.r_eff)
     write_fgrd(trace.final_field, args.out)
     if args.trace:
         _write_trace_csv(trace, args.trace)
@@ -320,8 +316,8 @@ def build_parser():
         sp.set_defaults(func=cmd_synth)
 
     def add_dims(sp):
-        sp.add_argument("--h", dest="height", type=int, required=True)
-        sp.add_argument("--w", dest="width", type=int, required=True)
+        sp.add_argument("--h", type=int, required=True)
+        sp.add_argument("--w", type=int, required=True)
 
     def add_fit(sp):
         sp.add_argument("--fit-lo", type=int, default=None)
@@ -343,15 +339,8 @@ def build_parser():
     add_synth_common(p_aff)
 
     p_adv = synth_sub.add_parser("advdiff", help="periodic advection-diffusion run")
-    p_adv.add_argument("--h", dest="height_opt", type=int)
-    p_adv.add_argument("--w", dest="width_opt", type=int)
-    p_adv.add_argument("--seed", dest="seed_opt", type=int)
-    p_adv.add_argument("--init-slope", dest="init_slope", type=float)
-    p_adv.add_argument("--ux", type=float)
-    p_adv.add_argument("--uy", type=float)
-    p_adv.add_argument("--D", dest="diffusivity", type=float)
-    p_adv.add_argument("--dt", type=float)
-    p_adv.add_argument("--steps", type=int)
+    for key, flag, cast, _ in ADVDIFF_KEYS:
+        p_adv.add_argument(flag, dest=key, type=cast)
     p_adv.add_argument("--config", help="key = value scenario file")
     add_synth_common(p_adv)
 

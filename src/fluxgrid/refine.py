@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConvergenceStallError, DimensionMismatchError
 from .findiff import DEFAULT_EPS
 from .grid_core import Grid2D, GridPair
-from .supergrid import FluxRatioLoss
+from .supergrid import FluxRatioLoss, FluxReport
 
 
 @dataclass
@@ -58,7 +58,7 @@ class RefineTrace:
     final_field: Grid2D | None = None
     lambda_used: float = 0.0
     converged: bool = False
-    reference_degenerate: bool = False  # every coarse cell has r_eff = 0
+    coarse_report: FluxReport | None = None  # the flux reference
 
 
 class _Objective:
@@ -124,8 +124,7 @@ def refine(init, coarse, cfg):
     total = fid + obj.lam * result.loss
 
     trace = RefineTrace(objective=[total], fidelity=[fid], pde=[result.loss],
-                        lambda_used=obj.lam,
-                        reference_degenerate=bool(np.all(result.coarse_report.r_eff == 0.0)))
+                        lambda_used=obj.lam, coarse_report=result.coarse_report)
     current = init
 
     for _ in range(cfg.max_iters):

@@ -86,11 +86,23 @@ class TestSynth:
                      "--out-fine", str(out_b)]) == 0
         assert out_a.read_bytes() != out_b.read_bytes()
 
-    def test_bad_config_line_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("text, named", [
+        ("h 16\n", "config line 1: expected key = value with a key of h, w, seed, "
+                   "init_slope, ux, uy, diffusivity, dt, steps, got 'h 16'"),
+        # a misspelt key is not ignored: that would run pure advection
+        ("h = 16\nw = 16\ndiffusivty = 0.1\n", "config line 3: expected key = value with a "
+                                               "key of h, w, seed, init_slope, ux, uy, "
+                                               "diffusivity, dt, steps, got 'diffusivty = 0.1'"),
+        ("h = 16\n# the width\nw = abc\n", "config line 3: w = 'abc' does not parse as int"),
+        ("steps = 10\ndt = 0.1.5\n", "config line 2: dt = '0.1.5' does not parse as float"),
+    ], ids=["no-equals", "unknown-key", "bad-int", "bad-float"])
+    def test_bad_config_line_usage_error(self, tmp_path, capsys, text, named):
         conf = tmp_path / "run.conf"
-        conf.write_text("h 16\n")
-        assert main(["synth", "advdiff", "--config", str(conf),
-                     "--out-fine", str(tmp_path / "x.fgrd")]) == 2
+        conf.write_text(text)
+        out = tmp_path / "x.fgrd"
+        assert main(["synth", "advdiff", "--config", str(conf), "--out-fine", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
 
     def test_beyond_f32_io_error_no_file(self, tmp_path):
         out = tmp_path / "x.fgrd"

@@ -208,6 +208,14 @@ class TestRefine:
             got = (trace.objective[k], trace.fidelity[k], trace.pde[k])
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("cell", [None, (4, 4)])
+    def test_coarse_report_is_the_loss_reference(self, cell):
+        init, coarse = noisy_pair(14, h=32, w=32, scale=2)
+        trace = refine(init, coarse, RefineConfig(max_iters=2, cell_override=cell))
+        want = pde_loss(GridPair.from_grids(coarse, init), init, cell_override=cell)
+        assert trace.coarse_report.r_eff.tobytes() == want.coarse_report.r_eff.tobytes()
+        assert trace.coarse_report.r_eff.shape == want.coarse_report.r_eff.shape
+
     def test_stall_carries_trace(self):
         init, coarse = noisy_pair(11)
         # a constant-zero gradient never stalls, so force one by refusing
