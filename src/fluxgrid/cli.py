@@ -83,9 +83,9 @@ def _parse_cell(text):
         ch, cw = text.lower().split("x")
         ch, cw = int(ch), int(cw)
     except ValueError:
-        raise ValueError(f"--cell expects CHxCW (e.g. 3x2), got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects CHxCW (e.g. 3x2), got {text!r}") from None
     if ch < 1 or cw < 1:
-        raise ValueError(f"--cell dims must be positive, got {text!r}")
+        raise argparse.ArgumentTypeError(f"dims must be positive, got {text!r}")
     return ch, cw
 
 
@@ -187,27 +187,21 @@ def _reference_verdict(coarse, r_eff):
 
 
 def cmd_metrics(args):
-    """The stages after loading run on two threads, the flux loss and then the
-    hashes beside the pixel metrics and then the spectra, and report as the
-    serial order would: load, pixel metrics, pairing, flux, the warning,
-    spectra, hashes. The earliest failing stage's error wins."""
-    t0 = time.perf_counter()
-    pred = _load_grid(args.pred)
-    truth = _load_grid(args.truth)
-    coarse = _load_grid(args.coarse)
-    t_load = time.perf_counter() - t0
-
-    try:
-        pair = _pair(coarse, args.coarse, pred)
-    except (DimensionMismatchError, ValueError):
-        metric_report(pred, truth)  # its error is the earlier stage's
-        raise
+    """The stages after loading run on two threads, the flux loss (which pairs
+    the grids itself) and then the hashes beside the pixel metrics, the pairing
+    and then the spectra, and report as the serial order would: load, pixel
+    metrics, pairing, flux, the warning, spectra, hashes. The earliest failing
+    stage's error wins."""
+    paths = (args.pred, args.truth, args.coarse)
+    (pred, truth, coarse), t_load = _timed(list, map(_load_grid, paths))
     background = _Background(
-        lambda: _timed(pde_loss, pair, pred, eps=args.eps, cell_override=args.cell,
-                       ratio_eps=args.ratio_eps, anomaly=args.anomaly),
+        lambda: _timed(lambda: pde_loss(_pair(coarse, args.coarse, pred), pred, eps=args.eps,
+                                        cell_override=args.cell, ratio_eps=args.ratio_eps,
+                                        anomaly=args.anomaly)),
         lambda: _timed(_input_hashes, args))
     try:
         report, t_metrics = _timed(metric_report, pred, truth)
+        pair = _pair(coarse, args.coarse, pred)
     except BaseException:
         background.join()
         raise
@@ -215,17 +209,15 @@ def cmd_metrics(args):
     # its memory and the peak stays that of the serial command
     del truth
     try:
-        t1 = time.perf_counter()
-        ref = upsample_quadratic(pair.coarse, pair.scale_y, pair.scale_x)
-        prof_pred, prof_ref = ralsd_pair(pred, ref, args.fit_lo, args.fit_hi, args.window)
-        l_spec = abs(prof_pred.alpha - prof_ref.alpha)
-        t_spec = time.perf_counter() - t1
+        (prof_pred, prof_ref), t_spec = _timed(lambda: ralsd_pair(
+            pred, upsample_quadratic(pair.coarse, pair.scale_y, pair.scale_x),
+            args.fit_lo, args.fit_hi, args.window))
     finally:  # a flux error, the earlier stage's, replaces a spectral one
         flux, t_flux = background.result(0)
         cell, degenerate = _reference_verdict(coarse, flux.coarse_report.r_eff)
     inputs, t_hash = background.result(1)
 
-    report.l_flux, report.l_spec = flux.loss, l_spec
+    report.l_flux, report.l_spec = flux.loss, abs(prof_pred.alpha - prof_ref.alpha)
     r_f = flux.fine_report.r_eff
     doc = {
         "tool_version": __version__,
@@ -236,7 +228,7 @@ def cmd_metrics(args):
                  "r_eff_fine": {"min": float(r_f.min()), "max": float(r_f.max()),
                                 "mean": float(r_f.mean())}},
         "spectral": {"alpha_pred": prof_pred.alpha, "alpha_ref": prof_ref.alpha,
-                     "l_spec": l_spec,
+                     "l_spec": report.l_spec,
                      "fit_range": [prof_pred.fit_lo, prof_pred.fit_hi]},
         "timing": {"load_s": t_load, "hash_s": t_hash, "metrics_s": t_metrics,
                    "flux_s": t_flux, "spectral_s": t_spec},
@@ -253,11 +245,11 @@ def cmd_metrics(args):
 
 
 def _write_trace_csv(trace, path):
-    with open(path, "w") as fh:
-        fh.write("iter,objective,fidelity,pde\n")
-        for k, (obj, fid, pde) in enumerate(
-                zip(trace.objective, trace.fidelity, trace.pde)):
-            fh.write(f"{k},{obj:.17g},{fid:.17g},{pde:.17g}\n")
+    rows = np.column_stack([np.arange(len(trace.objective)), trace.objective,
+                            trace.fidelity, trace.pde])
+    with open(path, "w") as fh:  # a handle: given a path, savetxt imports gzip
+        np.savetxt(fh, rows, fmt=("%d", "%.17g", "%.17g", "%.17g"), delimiter=",",
+                   header="iter,objective,fidelity,pde", comments="")
 
 
 def cmd_refine(args):
@@ -291,8 +283,7 @@ def cmd_ralsd(args):
     profile = ralsd(grid, args.fit_lo, args.fit_hi, args.window)
     if args.out_profile:
         with open(args.out_profile, "w") as fh:
-            for k, psi in zip(profile.k_bins, profile.psi):
-                fh.write(f"{k:.17g} {psi:.17g}\n")
+            np.savetxt(fh, np.column_stack([profile.k_bins, profile.psi]), fmt="%.17g")
     print(f"alpha={profile.alpha:.6g} fit_bins=[{profile.fit_lo},{profile.fit_hi}]")
     return EXIT_OK
 

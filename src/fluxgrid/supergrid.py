@@ -271,10 +271,6 @@ def pde_loss(pair, fine_field, eps=DEFAULT_EPS, cell_override=None,
     come from choose_supergrid (or cell_override, in coarse pixels) and
     the fine grid uses those dims times the pair's scales.
     """
-    if fine_field.height != pair.fine.height or fine_field.width != pair.fine.width:
-        raise DimensionMismatchError(
-            f"fine field is {fine_field.height}x{fine_field.width}, pair expects "
-            f"{pair.fine.height}x{pair.fine.width}")
     return FluxRatioLoss(pair, eps, cell_override, ratio_eps, anomaly).forward(fine_field)
 
 
@@ -302,16 +298,20 @@ class FluxRatioLoss:
         self.ratio_eps = eps if ratio_eps is None else ratio_eps
         self.anomaly = anomaly
         self.coarse_report = cell_fluxes(coarse, part_c, eps, ratio_eps, anomaly)
+        self._dims = (pair.fine.height, pair.fine.width)
         self._lines = _line_tables(self.part_f)  # filled by each forward call
         self._rep = None  # the last forward call's fine report
         self._cols = None  # the adjoint's columns as rows, from its first call
 
     def forward(self, fine):
-        """PdeLossResult of a field of the pair's fine dims; the next call
-        overwrites the edge lines, so take this one's adjoint before."""
-        self._fine = fine
-        self._rep = rep = _fluxes(fine, self.part_f, self._lines, self.eps, self.ratio_eps,
-                                  self.anomaly)
+        """PdeLossResult of a field of the pair's fine dims, checked before any line
+        is written; the next call overwrites the lines, so take this one's adjoint before."""
+        if (fine.height, fine.width) != self._dims:
+            raise DimensionMismatchError(
+                f"fine field is {fine.height}x{fine.width}, pair expects "
+                f"{self._dims[0]}x{self._dims[1]}")
+        rep = _fluxes(fine, self.part_f, self._lines, self.eps, self.ratio_eps, self.anomaly)
+        self._fine, self._rep = fine, rep
         sq = (rep.r_eff - self.coarse_report.r_eff) ** 2
         return PdeLossResult(loss=float(sq.mean()), per_cell_sq_diff=sq, n_cells=sq.size,
                              coarse_report=self.coarse_report, fine_report=rep)
@@ -324,7 +324,7 @@ class FluxRatioLoss:
         part, rep = self.part_f, self._rep
         if rep is None:
             raise ValueError("the adjoint back-propagates a forward call: call forward first")
-        shape = self._fine.values.shape
+        shape = self._dims
         if out is not None and out.shape != shape:
             raise DimensionMismatchError(f"out has shape {out.shape}, the fine field {shape}")
         if self._cols is None:  # keep whole lines from now on
@@ -333,7 +333,7 @@ class FluxRatioLoss:
             self._cols = np.empty((w, h + (8 if h % 16 == 0 else 0)))[:, :h]
             if len(self._lines[0].t) < 2 * part.n_rows:
                 self._lines = _line_tables(part, part.n_rows)
-                _fluxes(self._fine, part, self._lines, self.eps, self.ratio_eps)
+                self.forward(self._fine)
         lines = self._lines
         denom = rep.phi_diff + self.ratio_eps
         g_r = (2.0 * scale / rep.r_eff.size) * (rep.r_eff - self.coarse_report.r_eff)

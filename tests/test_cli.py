@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import fluxgrid
-from fluxgrid import (Grid2D, GrfSpec, coarsen_block_mean, gen_grf, read_fgrd, write_csv,
-                      write_fgrd)
+from fluxgrid import (ConvergenceStallError, Grid2D, GrfSpec, RefineConfig, coarsen_block_mean,
+                      gen_grf, ralsd, read_fgrd, refine, write_csv, write_fgrd)
 from fluxgrid import cli
 from fluxgrid.cli import main
 
@@ -26,6 +26,13 @@ def write_pair(tmp_path, seed=0, h=32, w=32, scale=2, slope=-2.5):
     write_fgrd(fine, fp)
     write_fgrd(coarse, cp)
     return fp, cp
+
+
+def trace_text(trace):
+    """The CSV that refine --trace writes for a RefineTrace."""
+    rows = [f"{k},{obj:.17g},{fid:.17g},{pde:.17g}"
+            for k, (obj, fid, pde) in enumerate(zip(trace.objective, trace.fidelity, trace.pde))]
+    return "\n".join(["iter,objective,fidelity,pde", *rows]) + "\n"
 
 
 class TestSynth:
@@ -365,11 +372,16 @@ class TestMetrics:
         assert capsys.readouterr().err == "error: truth field is constant; R^2 undefined\n"
         assert not out.exists()
 
-    def test_bad_cell_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value, rule", [
+        ("whatever", "expects CHxCW (e.g. 3x2)"), ("3by2", "expects CHxCW (e.g. 3x2)"),
+        ("0x3", "dims must be positive"), ("2x-1", "dims must be positive")],
+        ids=["whatever", "3by2", "0x3", "2x-1"])
+    def test_bad_cell_usage_error(self, tmp_path, capsys, value, rule):
         fp, cp = write_pair(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["metrics", str(fp), str(fp), str(cp), "--cell", "whatever"])
+            main(["metrics", str(fp), str(fp), str(cp), "--cell", value])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --cell: {rule}, got {value!r}\n")
 
 
 class TestRefine:
@@ -392,6 +404,8 @@ class TestRefine:
         assert lines[0] == "iter,objective,fidelity,pde"
         objs = [float(line.split(",")[1]) for line in lines[1:]]
         assert objs == sorted(objs, reverse=True) or len(objs) == 1
+        want = refine(read_fgrd(fp), read_fgrd(cp), RefineConfig(lambda_pde=1.0, max_iters=5))
+        assert trace.read_text() == trace_text(want)
 
     def test_degenerate_reference_warning(self, tmp_path, capsys):
         fp, cp = write_pair(tmp_path)  # 16x16 coarse grid: gcd cells are 1x1
@@ -427,6 +441,11 @@ class TestRefine:
         assert code == 5
         assert trace.exists()
         assert not out.exists()
+        cfg = RefineConfig(lambda_pde=1.0, grad_mode="numeric_central", fd_h=100.0,
+                           step_size=1e-25, max_iters=3)
+        with pytest.raises(ConvergenceStallError) as stall:
+            refine(read_fgrd(fp), read_fgrd(cp), cfg)
+        assert trace.read_text() == trace_text(stall.value.trace)
 
     @pytest.mark.parametrize("step", ["1e308", "1e300"])
     def test_overflowing_step_stalls_quietly(self, tmp_path, capsys, step):
@@ -529,6 +548,27 @@ class TestRalsd:
         psi = np.array([float(r[1]) for r in rows])
         assert np.all(np.diff(k) > 0)
         assert np.all(psi > 0)
+        want = ralsd(read_fgrd(fp))
+        assert prof.read_text() == "".join(f"{k:.17g} {psi:.17g}\n"
+                                           for k, psi in zip(want.k_bins, want.psi))
+
+    def test_text_writers_leave_gzip_unloaded(self, tmp_path):
+        """np.savetxt given a path opens it through numpy's datasource, which
+        imports gzip (about 1.4 ms); the writers pass it an open handle."""
+        fp, cp = write_pair(tmp_path)
+        refine_argv = ["refine", str(fp), str(cp), "--iters", "2", "--out",
+                       str(tmp_path / "o.fgrd"), "--trace", str(tmp_path / "trace.csv")]
+        ralsd_argv = ["ralsd", str(fp), "--out-profile", str(tmp_path / "profile.txt")]
+        child = "\n".join([
+            "import sys", "from fluxgrid.cli import main",
+            f"codes = [main({refine_argv!r}), main({ralsd_argv!r})]",
+            "print(codes, [m for m in ('gzip', 'hashlib', 'json') if m in sys.modules])"])
+        env = {**os.environ, "PYTHONPATH": str(Path(fluxgrid.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                             env=env, check=True)
+        assert run.stdout.splitlines()[-1] == "[0, 0] []"
+        assert (tmp_path / "trace.csv").stat().st_size > 0
+        assert (tmp_path / "profile.txt").stat().st_size > 0
 
     def test_constant_grid_exit_4(self, tmp_path):
         const = tmp_path / "const.csv"

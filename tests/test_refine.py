@@ -6,7 +6,7 @@ import pytest
 
 from fluxgrid import (Grid2D, GridPair, GrfSpec, RefineConfig, coarsen_block_mean,
                       gen_constant, gen_grf, gradient, make_pair, objective,
-                      pde_loss, refine)
+                      pde_loss, refine, upsample_quadratic)
 from fluxgrid.errors import ConvergenceStallError, DimensionMismatchError
 from fluxgrid.refine import _Objective
 from fluxgrid.supergrid import FluxRatioLoss
@@ -215,6 +215,18 @@ class TestRefine:
         want = pde_loss(GridPair.from_grids(coarse, init), init, cell_override=cell)
         assert trace.coarse_report.r_eff.tobytes() == want.coarse_report.r_eff.tobytes()
         assert trace.coarse_report.r_eff.shape == want.coarse_report.r_eff.shape
+
+    @pytest.mark.parametrize("tol, iters, converged", [(0.5, 2, True), (0.0, 10, False)])
+    def test_tolerance_stop(self, tol, iters, converged):
+        # from the upsampled coarse grid the objective drops by 66% and then by
+        # 45%: tol 0.5 stops at the second iteration, tol 0 runs them all
+        truth = gen_grf(GrfSpec(32, 32, -2.5, 0))
+        coarse = coarsen_block_mean(truth, 2, 2)
+        init = upsample_quadratic(coarse, 2, 2)
+        trace = refine(init, coarse, RefineConfig(max_iters=10, tol=tol, cell_override=(4, 4)))
+        assert trace.iters_run == iters
+        assert trace.converged is converged
+        assert len(trace.objective) == iters + 1
 
     def test_stall_carries_trace(self):
         init, coarse = noisy_pair(11)

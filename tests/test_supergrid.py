@@ -266,6 +266,27 @@ class TestAdjointInto:
         with pytest.raises(DimensionMismatchError, match=r"\(16, 16\).*\(32, 32\)"):
             loss.adjoint(out)
         assert np.all(out == 1.0)
+        # a forward call on a field of other dims raises before it writes a line,
+        # so the last good call's adjoint is left as it was
+        fine = grid(rng.normal(size=(64, 64)))
+        loss = FluxRatioLoss(make_pair(fine, 4, 4), cell_override=(4, 4))
+        loss.forward(fine)
+        first = loss.adjoint()
+        for shape in ((80, 64), (48, 64), (64, 80)):
+            with pytest.raises(DimensionMismatchError,
+                               match=f"fine field is {shape[0]}x{shape[1]}, pair expects 64x64"):
+                loss.forward(grid(rng.normal(size=shape)))
+            assert loss.adjoint().tobytes() == first.tobytes()
+
+    def test_anomaly_adjoint_fails_before_touching_out(self):
+        rng = np.random.default_rng(83)
+        fine = grid(rng.normal(size=(32, 32)))
+        loss = FluxRatioLoss(make_pair(fine, 2, 2), cell_override=(4, 4), anomaly=True)
+        loss.forward(fine)
+        out = np.ones((32, 32))
+        with pytest.raises(ValueError, match="anomaly=False only"):
+            loss.adjoint(out)
+        assert np.all(out == 1.0)
 
 
 def flux_arrays(rep):
