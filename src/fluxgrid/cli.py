@@ -6,6 +6,9 @@ Exit codes: 0 success, 1 I/O, 2 usage, 3 dimension mismatch,
 
 import argparse
 import gc
+import os
+import signal
+import struct
 import sys
 import threading
 import time
@@ -46,6 +49,9 @@ ADVDIFF_KEYS = (("h", "--h", int, 64), ("w", "--w", int, 64), ("seed", "--seed",
                 ("uy", "--uy", float, 0.0), ("diffusivity", "--D", float, 0.0),
                 ("dt", "--dt", float, 0.1), ("steps", "--steps", int, 0))
 
+# what _send_grid writes ahead of the float64 values: height, width, dx, dy
+_GRID_HEADER = struct.Struct("=IIdd")
+
 
 def _sha256(path):
     import hashlib  # here, as json in cmd_metrics: only metrics pays for their import
@@ -66,6 +72,62 @@ def _load_grid(path):
     if str(path).endswith(".csv"):
         return read_csv(path)
     return read_fgrd(path)
+
+
+def _send_grid(path, read_fd, write_fd):
+    """A forked worker's whole life: load the grid at path, write its header
+    and values to write_fd, and exit 0, or 1 on any failure, printing nothing.
+    It closes the pipe's read end, so that its write fails if the parent dies."""
+    status = 1
+    try:
+        os.close(read_fd)
+        grid = _load_grid(path)
+        with open(write_fd, "wb") as out:
+            out.write(_GRID_HEADER.pack(grid.height, grid.width, grid.dx, grid.dy))
+            out.write(grid.values)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive_grid(pipe):
+    """The grid _send_grid wrote to pipe, or None if it stopped short."""
+    header = pipe.read(_GRID_HEADER.size)
+    if len(header) < _GRID_HEADER.size:
+        return None
+    height, width, dx, dy = _GRID_HEADER.unpack(header)
+    values = np.empty((height, width))
+    if pipe.readinto(values) < values.nbytes:
+        return None
+    return Grid2D(height, width, dx, dy, values)
+
+
+def _load_grids(pred_path, truth_path, coarse_path):
+    """pred, truth and coarse, failing as loading them in that order would.
+    A CSV truth is parsed in a forked worker while this process parses pred
+    (np.loadtxt holds the GIL, so a thread cannot overlap the two); if the
+    worker fails, truth is loaded here, so that its error is the serial one."""
+    if not str(truth_path).endswith(".csv"):
+        return [_load_grid(path) for path in (pred_path, truth_path, coarse_path)]
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the pipe reads empty, as from a failed worker
+        pid = None
+    if pid == 0:
+        _send_grid(truth_path, read_fd, write_fd)
+    try:
+        os.close(write_fd)
+        with open(read_fd, "rb") as pipe:
+            pred = _load_grid(pred_path)
+            truth = _receive_grid(pipe)
+    finally:  # killing a worker that has already exited is harmless
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if truth is None:
+        truth = _load_grid(truth_path)
+    return pred, truth, _load_grid(coarse_path)
 
 
 def _pair(coarse, coarse_path, fine):
@@ -192,8 +254,7 @@ def cmd_metrics(args):
     and then the spectra, and report as the serial order would: load, pixel
     metrics, pairing, flux, the warning, spectra, hashes. The earliest failing
     stage's error wins."""
-    paths = (args.pred, args.truth, args.coarse)
-    (pred, truth, coarse), t_load = _timed(list, map(_load_grid, paths))
+    (pred, truth, coarse), t_load = _timed(_load_grids, args.pred, args.truth, args.coarse)
     background = _Background(
         lambda: _timed(lambda: pde_loss(_pair(coarse, args.coarse, pred), pred, eps=args.eps,
                                         cell_override=args.cell, ratio_eps=args.ratio_eps,

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import struct
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 import fluxgrid
-from fluxgrid import (ConvergenceStallError, Grid2D, GrfSpec, RefineConfig, coarsen_block_mean,
-                      gen_grf, ralsd, read_fgrd, refine, write_csv, write_fgrd)
+from fluxgrid import (ConvergenceStallError, Grid2D, GridPair, GrfSpec, RefineConfig,
+                      coarsen_block_mean, gen_grf, metric_report, pde_loss, ralsd, read_csv,
+                      read_fgrd, refine, write_csv, write_fgrd)
 from fluxgrid import cli
 from fluxgrid.cli import main
 
@@ -382,6 +384,129 @@ class TestMetrics:
             main(["metrics", str(fp), str(fp), str(cp), "--cell", value])
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: argument --cell: {rule}, got {value!r}\n")
+
+
+def csv_inputs(tmp_path, n=64, seed=4):
+    """pred (truth plus noise), truth and its 4x4 block mean as CSV files."""
+    truth = gen_grf(GrfSpec(n, n, -2.5, seed))
+    noise = np.random.default_rng(seed).standard_normal((n, n))
+    grids = {"pred": truth.with_values(truth.values + 0.1 * noise), "truth": truth,
+             "coarse": coarsen_block_mean(truth, 4, 4)}
+    for name, grid in grids.items():
+        write_csv(grid, tmp_path / f"{name}.csv")
+    return [str(tmp_path / f"{name}.csv") for name in grids]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestMetricsCsvTruthWorker:
+    """A CSV truth is parsed in a forked worker; the report, the errors and
+    their order are the serial load's, and no worker outlives the command."""
+
+    def test_report_equals_the_api_on_read_csv(self, tmp_path):
+        paths, out = csv_inputs(tmp_path), tmp_path / "report.json"
+        assert main(["metrics", *paths, "--cell", "4x4", "--out", str(out)]) == 0
+        assert_no_child_left()
+        doc = json.loads(out.read_text())
+        pred, truth = read_csv(paths[0]), read_csv(paths[1])
+        coarse = read_csv(paths[2], dx=4.0, dy=4.0)  # the fine spacing times the scale
+        flux = pde_loss(GridPair.from_grids(coarse, pred), pred, cell_override=(4, 4))
+        report = {key: value for key, value in vars(metric_report(pred, truth)).items()
+                  if value is not None}  # l_flux and l_spec are the command's to fill
+        assert {key: doc["metrics"][key] for key in report} == report
+        r_f = flux.fine_report.r_eff
+        assert doc["flux"]["l_flux"] == doc["metrics"]["l_flux"] == flux.loss
+        assert doc["flux"]["n_cells"] == flux.n_cells
+        assert doc["flux"]["r_eff_fine"] == {"min": float(r_f.min()), "max": float(r_f.max()),
+                                             "mean": float(r_f.mean())}
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"truth": "x"}, "non-numeric cell 'x' at row 3, column 2"),
+        ({"truth": None}, "file not found: {truth}"),
+        ({"pred": "x", "truth": "y"}, "non-numeric cell 'x' at row 3, column 2"),
+        ({"truth": "y", "coarse": "z"}, "non-numeric cell 'y' at row 3, column 2"),
+    ], ids=["bad-truth", "missing-truth", "bad-pred-and-truth", "bad-truth-and-coarse"])
+    def test_errors_keep_the_serial_order(self, tmp_path, capfd, bad, message):
+        paths = dict(zip(("pred", "truth", "coarse"), csv_inputs(tmp_path, n=32)))
+        for name, cell in bad.items():
+            if cell is None:
+                os.remove(paths[name])
+                continue
+            rows = Path(paths[name]).read_text().splitlines()
+            cells = rows[2].split(",")
+            cells[1] = cell
+            rows[2] = ",".join(cells)
+            Path(paths[name]).write_text("\n".join(rows) + "\n")
+        out = tmp_path / "report.json"
+        assert main(["metrics", *paths.values(), "--out", str(out)]) == 1
+        assert_no_child_left()
+        assert capfd.readouterr() == ("", f"error: {message.format(**paths)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exts", [("fgrd", "fgrd", "fgrd"), ("csv", "fgrd", "csv")],
+                             ids=["fgrd", "csv-pred-fgrd-truth"])
+    def test_fgrd_truth_never_forks(self, tmp_path, monkeypatch, exts):
+        def fork():
+            raise AssertionError("forked for an FGRD truth")
+
+        monkeypatch.setattr(os, "fork", fork)
+        fp, cp = write_pair(tmp_path)
+        paths = [str(fp), str(fp), str(cp)]
+        for i, ext in enumerate(exts):
+            if ext == "csv":
+                paths[i] = str(tmp_path / f"input{i}.csv")
+                write_csv(read_fgrd(fp if i < 2 else cp), paths[i])
+        assert main(["metrics", *paths, "--out", str(tmp_path / "report.json")]) == 0
+
+    def test_bad_pred_does_not_wait_for_truth(self, tmp_path, capfd):
+        # truth is a FIFO with no writer, so its worker blocks in open() until
+        # the command kills it; the timer opens the FIFO only if it is not killed
+        paths = csv_inputs(tmp_path, n=32)
+        Path(paths[0]).write_text("1,2\n3,x\n")
+        os.remove(paths[1])
+        os.mkfifo(paths[1])
+        unblocked = threading.Event()
+
+        def unblock():
+            os.close(os.open(paths[1], os.O_WRONLY | os.O_NONBLOCK))
+            unblocked.set()
+
+        timer = threading.Timer(20.0, unblock)
+        timer.start()
+        try:
+            assert main(["metrics", *paths]) == 1
+        finally:
+            timer.cancel()
+            timer.join(5.0)
+        assert not timer.is_alive() and not unblocked.is_set()
+        assert_no_child_left()
+        assert capfd.readouterr().err == "error: non-numeric cell 'x' at row 2, column 2\n"
+
+    def test_failed_fork_loads_serially(self, tmp_path, monkeypatch):
+        paths, docs = csv_inputs(tmp_path), []
+        for fork in (os.fork, None):
+            if fork is None:
+                def fork():
+                    raise BlockingIOError(11, "Resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", fork)
+            out = tmp_path / "report.json"
+            assert main(["metrics", *paths, "--cell", "4x4", "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            doc.pop("timing")
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
+    def test_short_read_is_no_grid(self):
+        values = np.arange(12.0).reshape(3, 4)
+        message = cli._GRID_HEADER.pack(3, 4, 1.0, 2.0) + values.tobytes()
+        grid = cli._receive_grid(io.BytesIO(message))
+        assert (grid.height, grid.width, grid.dx, grid.dy) == (3, 4, 1.0, 2.0)
+        assert np.array_equal(grid.values, values)
+        for end in (0, cli._GRID_HEADER.size - 1, len(message) - 1):
+            assert cli._receive_grid(io.BytesIO(message[:end])) is None
 
 
 class TestRefine:
