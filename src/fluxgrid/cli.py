@@ -7,11 +7,12 @@ Exit codes: 0 success, 1 I/O, 2 usage, 3 dimension mismatch,
 import argparse
 import gc
 import os
+import pickle
 import signal
-import struct
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 
@@ -49,9 +50,6 @@ ADVDIFF_KEYS = (("h", "--h", int, 64), ("w", "--w", int, 64), ("seed", "--seed",
                 ("uy", "--uy", float, 0.0), ("diffusivity", "--D", float, 0.0),
                 ("dt", "--dt", float, 0.1), ("steps", "--steps", int, 0))
 
-# what _send_grid writes ahead of the float64 values: height, width, dx, dy
-_GRID_HEADER = struct.Struct("=IIdd")
-
 
 def _sha256(path):
     import hashlib  # here, as json in cmd_metrics: only metrics pays for their import
@@ -75,45 +73,46 @@ def _load_grid(path):
 
 
 def _send_grid(path, read_fd, write_fd):
-    """A forked worker's whole life: load the grid at path, write its header
-    and values to write_fd, and exit 0, or 1 on any failure, printing nothing.
-    It closes the pipe's read end, so that its write fails if the parent dies."""
+    """A forked worker's whole life: load the grid at path, pickle it to
+    write_fd, and exit 0, or 1 on any failure, printing nothing. It closes
+    the pipe's read end, so that its write fails if the parent dies."""
     status = 1
     try:
         os.close(read_fd)
         grid = _load_grid(path)
         with open(write_fd, "wb") as out:
-            out.write(_GRID_HEADER.pack(grid.height, grid.width, grid.dx, grid.dy))
-            out.write(grid.values)
+            pickle.dump(grid, out, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
 
 
 def _receive_grid(pipe):
-    """The grid _send_grid wrote to pipe, or None if it stopped short."""
-    header = pipe.read(_GRID_HEADER.size)
-    if len(header) < _GRID_HEADER.size:
+    """The grid _send_grid pickled to pipe, or None if it stopped short. Our own
+    child wrote it, so it is safe to unpickle, and read_csv there checked it."""
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
         return None
-    height, width, dx, dy = _GRID_HEADER.unpack(header)
-    values = np.empty((height, width))
-    if pipe.readinto(values) < values.nbytes:
-        return None
-    return Grid2D(height, width, dx, dy, values)
 
 
 def _load_grids(pred_path, truth_path, coarse_path):
     """pred, truth and coarse, failing as loading them in that order would.
     A CSV truth is parsed in a forked worker while this process parses pred
     (np.loadtxt holds the GIL, so a thread cannot overlap the two); if the
-    worker fails, truth is loaded here, so that its error is the serial one."""
+    worker fails or cannot fork, truth is loaded here: the serial error wins."""
     if not str(truth_path).endswith(".csv"):
         return [_load_grid(path) for path in (pred_path, truth_path, coarse_path)]
     read_fd, write_fd = os.pipe()
     try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the pipe reads empty, as from a failed worker
-        pid = None
+        # Python >= 3.12 warns at a fork beside threads (OpenBLAS's). The child
+        # only parses, writes the pipe and calls os._exit; glibc resets malloc's
+        # locks at fork; and it makes no BLAS call, so it takes no lock theirs hold.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork (Windows) or no process to spare:
+        pid = None  # the pipe reads empty, as from a failed worker
     if pid == 0:
         _send_grid(truth_path, read_fd, write_fd)
     try:

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -486,26 +487,51 @@ class TestMetricsCsvTruthWorker:
         assert capfd.readouterr().err == "error: non-numeric cell 'x' at row 2, column 2\n"
 
     def test_failed_fork_loads_serially(self, tmp_path, monkeypatch):
+        def failing_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
         paths, docs = csv_inputs(tmp_path), []
-        for fork in (os.fork, None):
-            if fork is None:
-                def fork():
-                    raise BlockingIOError(11, "Resource temporarily unavailable")
-            monkeypatch.setattr(os, "fork", fork)
+        for fork in (os.fork, failing_fork, None):
+            if fork is None:  # no os.fork at all, as on Windows
+                monkeypatch.delattr(os, "fork")
+            else:
+                monkeypatch.setattr(os, "fork", fork)
             out = tmp_path / "report.json"
             assert main(["metrics", *paths, "--cell", "4x4", "--out", str(out)]) == 0
             doc = json.loads(out.read_text())
             doc.pop("timing")
             docs.append(doc)
-        assert docs[0] == docs[1]
+        assert docs[0] == docs[1] == docs[2]
+
+    def test_fork_beside_threads_does_not_warn(self, tmp_path, monkeypatch):
+        # Python >= 3.12 warns this way when a process with threads, such as
+        # numpy's OpenBLAS workers, forks
+        fork, forks = os.fork, []
+
+        def warning_fork():
+            warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            forks.append(fork())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["metrics", *csv_inputs(tmp_path), "--out",
+                         str(tmp_path / "report.json")]) == 0
+        assert len(forks) == 1 and forks[0] > 0
+        assert_no_child_left()
+        assert [str(w.message) for w in caught if "fork()" in str(w.message)] == []
 
     def test_short_read_is_no_grid(self):
-        values = np.arange(12.0).reshape(3, 4)
-        message = cli._GRID_HEADER.pack(3, 4, 1.0, 2.0) + values.tobytes()
+        values = np.random.default_rng(0).standard_normal((3, 4))
+        sent = Grid2D.from_values(values, dx=0.5, dy=2.0)
+        message = pickle.dumps(sent, pickle.HIGHEST_PROTOCOL)
         grid = cli._receive_grid(io.BytesIO(message))
-        assert (grid.height, grid.width, grid.dx, grid.dy) == (3, 4, 1.0, 2.0)
-        assert np.array_equal(grid.values, values)
-        for end in (0, cli._GRID_HEADER.size - 1, len(message) - 1):
+        assert (grid.height, grid.width, grid.dx, grid.dy) == (3, 4, 0.5, 2.0)
+        assert grid.values.tobytes() == sent.values.tobytes()
+        # cut at 0 bytes, inside the protocol and frame opcodes, and one byte short
+        for end in (0, 5, len(message) - 1):
             assert cli._receive_grid(io.BytesIO(message[:end])) is None
 
 
