@@ -23,10 +23,10 @@ from .errors import (ConvergenceStallError, CsvParseError,
                      TooSmallGridError)
 from .findiff import DEFAULT_EPS
 from .formats import read_csv, read_fgrd, write_fgrd
-from .grid_core import Grid2D, GridPair, check_scales, make_pair, upsample_quadratic
+from .grid_core import Grid2D, GridPair, check_scales, make_pair
 from .metrics import metric_report
 from .refine import RefineConfig, refine
-from .spectral import ralsd, ralsd_pair
+from .spectral import ralsd, ralsd_upsampled_pair
 from .supergrid import pde_loss
 from .synth import AdvDiffSpec, GrfSpec, gen_affine, gen_grf, step_advdiff
 
@@ -269,9 +269,8 @@ def cmd_metrics(args):
     # its memory and the peak stays that of the serial command
     del truth
     try:
-        (prof_pred, prof_ref), t_spec = _timed(lambda: ralsd_pair(
-            pred, upsample_quadratic(pair.coarse, pair.scale_y, pair.scale_x),
-            args.fit_lo, args.fit_hi, args.window))
+        (prof_pred, prof_ref), t_spec = _timed(ralsd_upsampled_pair, pair, args.fit_lo,
+                                               args.fit_hi, args.window)
     finally:  # a flux error, the earlier stage's, replaces a spectral one
         flux, t_flux = background.result(0)
         cell, degenerate = _reference_verdict(coarse, flux.coarse_report.r_eff)

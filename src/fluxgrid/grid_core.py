@@ -3,7 +3,8 @@
 A Grid2D is a rectangular cell-centered scalar field (row index i runs
 along y, column index j along x) with uniform spacing. Coarsening is a
 block mean; upscaling is separable quadratic (Lagrange) interpolation of
-cell-center samples, one-sided at the edges.
+cell-center samples, one-sided at the edges; upsampled_rfft2 gives the
+upscaled field's half-spectrum from the coarse grid's own DFT.
 """
 
 import math
@@ -107,22 +108,87 @@ def _quad_weights_1d(n_coarse, scale):
     clipped (one-sided) at the edges; with fewer than three samples the
     stencil degrades to linear or constant.
     """
-    n_fine = n_coarse * scale
     # fine center j sits at coarse coordinate u (in coarse-index units)
-    u = (np.arange(n_fine) + 0.5) / scale - 0.5
+    return _quad_weights_at(n_coarse, (np.arange(n_coarse * scale) + 0.5) / scale - 0.5)
+
+
+def _quad_weights_at(n_coarse, u):
+    """_quad_weights_1d's (idx, wts) at coarse coordinates u, which may lie
+    outside the samples: at u = -1 and u = n_coarse they give the ghost
+    samples that the end stencils extrapolate to."""
     if n_coarse == 1:
-        idx = np.zeros((3, n_fine), dtype=int)
-        wts = np.zeros((3, n_fine))
+        idx = np.zeros((3, u.size), dtype=int)
+        wts = np.zeros((3, u.size))
         wts[1] = 1.0
         return idx, wts
     if n_coarse == 2:  # linear through the two samples, u relative to sample 0
-        idx = np.vstack([np.zeros(n_fine, int), np.zeros(n_fine, int), np.ones(n_fine, int)])
-        return idx, np.vstack([np.zeros(n_fine), 1.0 - u, u])
+        idx = np.vstack([np.zeros(u.size, int), np.zeros(u.size, int), np.ones(u.size, int)])
+        return idx, np.vstack([np.zeros(u.size), 1.0 - u, u])
     center = np.clip(np.rint(u).astype(int), 1, n_coarse - 2)
     t = u - center
     idx = np.vstack([center - 1, center, center + 1])
     wts = np.vstack([0.5 * t * (t - 1.0), (1.0 - t) * (1.0 + t), 0.5 * t * (t + 1.0)])
     return idx, wts
+
+
+def _quad_dft_1d(n_coarse, scale, half):
+    """DFT factors of the quadratic upsampler along one axis, each of length
+    n_coarse*scale, or its rfft length if half: (phi, lo, hi).
+
+    Each end block of the upsampled line is the interior stencil applied to a
+    ghost sample, its quadratic extrapolation at u = -1 or u = n_coarse (3c0 -
+    3c1 + c2, 2c0 - c1 on 2 samples, c0 on 1). With the ghosts replaced by the
+    wrapped samples c[-1] and c[0], the upsampler is a periodic polyphase
+    filter, so the DFT of the line is phi * DFT(c)[k % n_coarse], plus lo times
+    (ghost_lo - c[-1]) and hi times (ghost_hi - c[0]): lo and hi are the DFTs
+    of the stencil's outer weights over the first and the last block.
+    """
+    _, wts = _quad_weights_1d(3, scale)
+    wts = wts[:, scale:2 * scale]  # the middle block's: the interior stencil
+    taps = np.zeros((3, n_coarse, scale))
+    for j, w in zip((-1, 0, 1), wts):  # block m reads sample m + j, so sample 0
+        taps[0, -j % n_coarse] += w    # reaches block -j (mod n_coarse)
+    taps[1, 0], taps[2, -1] = wts[0], wts[2]
+    return (np.fft.rfft if half else np.fft.fft)(taps.reshape(3, -1), axis=1)
+
+
+def _upsampled_dft(vals, scale, half, rows):
+    """The DFT along axis 0 (the rfft's half if half) of
+    _upsample_axis(vals, scale, 0), from vals' own DFT through _quad_dft_1d,
+    in blocks of rows rows."""
+    n = vals.shape[0]
+    phi, lo, hi = _quad_dft_1d(n, scale, half)
+    idx, wts = _quad_weights_at(n, np.array([-1.0, n]))
+    ghosts = [sum(w[e] * vals[i[e]] for i, w in zip(idx, wts)) for e in (0, 1)]
+    jump_lo, jump_hi = ghosts[0] - vals[-1], ghosts[1] - vals[0]
+    spec = np.fft.fft(vals, axis=0)
+    for start in range(0, phi.size, rows):
+        k = np.arange(start, min(start + rows, phi.size))
+        block = spec[k % n]
+        block *= phi[k, None]
+        block += lo[k, None] * jump_lo
+        block += hi[k, None] * jump_hi
+        yield block
+
+
+RFFT_ROWS = 32  # rows per block of upsampled_rfft2: a block of a 1024-wide grid is 260 KB
+
+
+def upsampled_rfft2(coarse, scale_y, scale_x):
+    """rfft2(upsample_quadratic(coarse, scale_y, scale_x).values), yielded in
+    blocks of RFFT_ROWS rows, from the coarse grid's own DFT: the upsampled
+    field is never built. The coarse grid is taken less its first value, which is
+    added back at DC, so that a constant grid gives exactly 0 off DC."""
+    if scale_y < 1 or scale_x < 1:
+        raise ValueError(f"scales must be >= 1, got ({scale_y}, {scale_x})")
+    offset = coarse.values[0, 0]
+    # x first, in one block: the rfft of each row of the grid upsampled along x
+    (along_x,) = _upsampled_dft((coarse.values - offset).T, scale_x, True, coarse.width * scale_x)
+    blocks = _upsampled_dft(along_x.T, scale_y, False, RFFT_ROWS)
+    first = next(blocks)
+    first[0, 0] += offset * coarse.height * scale_y * coarse.width * scale_x
+    yield first
+    yield from blocks
 
 
 def _upsample_axis(vals, scale, axis):

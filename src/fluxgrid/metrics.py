@@ -24,23 +24,45 @@ class MetricReport:
     l_spec: float | None = None
 
 
+BLOCK = 1 << 15  # pixels per block of _sums: 256 KB per array, so its arrays stay in cache
+
+
+def _dot(a, b):
+    return float(np.einsum("i,i", a, b))  # not np.dot: BLAS may start threads
+
+
 def _sums(pred, truth, centred=True):
-    """One pass over a grid pair: [rmse, bias, the sum of squared errors and, if
-    centred, the dots (p.p, t.t, p.t) of the mean-removed fields, else None].
-    p.p or t.t is 0 for a constant field (max == min)."""
+    """[rmse, bias, the sum of squared errors and, if centred, the dots (p.p,
+    t.t, p.t) of the mean-removed fields, else None], over blocks of BLOCK
+    pixels in two passes: the raw sums with min and max, then the centred
+    dots. p.p or t.t is 0 for a constant field (max == min)."""
     if (pred.height, pred.width) != (truth.height, truth.width):
         raise DimensionMismatchError(
             f"pred is {pred.height}x{pred.width}, truth is {truth.height}x{truth.width}")
     pv, tv = pred.values.ravel(), truth.values.ravel()
-    diff = pv - tv
-    ss_res = float(np.einsum("i,i", diff, diff))  # not np.dot: BLAS may start threads
-    sums = [float(np.sqrt(ss_res / diff.size)), float(np.mean(diff)), ss_res, None]
+    blocks = [(pv[a:a + BLOCK], tv[a:a + BLOCK]) for a in range(0, pv.size, BLOCK)]
+    buf = np.empty((2, blocks[0][0].size))
+    ss_res = s_diff = s_p = s_t = 0.0
+    lo_p = hi_p = pv[0]
+    lo_t = hi_t = tv[0]
+    for p, t in blocks:
+        diff = np.subtract(p, t, out=buf[0, :p.size])
+        ss_res += _dot(diff, diff)
+        s_diff += float(diff.sum())
+        if centred:
+            s_p, s_t = s_p + float(p.sum()), s_t + float(t.sum())
+            lo_p, hi_p = min(lo_p, p.min()), max(hi_p, p.max())
+            lo_t, hi_t = min(lo_t, t.min()), max(hi_t, t.max())
+    sums = [float(np.sqrt(ss_res / pv.size)), s_diff / pv.size, ss_res, None]
     if centred:
-        p = pv - pv.mean()
-        t = np.subtract(tv, tv.mean(), out=diff)
-        pp, tt, pt = (float(np.einsum("i,i", a, b)) for a, b in ((p, p), (t, t), (p, t)))
+        mean_p, mean_t = s_p / pv.size, s_t / pv.size
+        pp = tt = pt = 0.0
+        for p, t in blocks:
+            pc = np.subtract(p, mean_p, out=buf[0, :p.size])
+            tc = np.subtract(t, mean_t, out=buf[1, :t.size])
+            pp, tt, pt = pp + _dot(pc, pc), tt + _dot(tc, tc), pt + _dot(pc, tc)
         # a constant field's mean may be inexact, leaving rounding noise in its dots
-        sums[3] = (pp if np.ptp(pv) > 0 else 0.0, tt if np.ptp(tv) > 0 else 0.0, pt)
+        sums[3] = (pp if hi_p > lo_p else 0.0, tt if hi_t > lo_t else 0.0, pt)
     return sums
 
 

@@ -11,6 +11,8 @@ real half-spectrum (rfft2, as |F(-k)| = |F(k)|), each column weighing 2 but
 column 0 and an even width's Nyquist column: the same profile, half the work.
 It takes that rfft2 as an rfft along the rows and then an FFT down the
 columns in place (out=, numpy >= 2.0): bitwise the same, in one complex array.
+ralsd_upsampled_pair bins an upsampled coarse reference's half-spectrum the
+same way, taken block by block from grid_core.upsampled_rfft2.
 """
 
 import functools
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, TooSmallGridError
+from .grid_core import upsample_quadratic, upsampled_rfft2
 
 MIN_SPECTRUM_DIM = 8
 MIN_FIT_BINS = 4
@@ -83,10 +86,15 @@ def _annulus_table(height, width, half):
     each column but 0 and an even width's Nyquist column also counts its mirror."""
     fx = (np.fft.rfftfreq if half else np.fft.fftfreq)(width)[None, :]
     fy = np.fft.fftfreq(height)[:, None]
-    radius = np.rint(np.sqrt(fx * fx + fy * fy) * min(height, width)).astype(np.int64).ravel()
+    r = fx * fx + fy * fy  # then in place: a metrics child builds this table cold
+    r = np.rint(np.multiply(np.sqrt(r, out=r), min(height, width), out=r), out=r)
+    radius = r.astype(np.int64).ravel()
     weights = np.full(fx.size, 1.0 + half)
     weights[0], weights[-1] = 1, 1 + half * (width % 2)
-    table = radius, weights, np.bincount(radius, np.tile(weights, height)).astype(np.int64)
+    counts = np.bincount(radius) * (1 + half)  # less 1 for each k in a column of weight 1
+    for col in np.flatnonzero(weights < 1 + half):
+        counts -= np.bincount(radius.reshape(height, -1)[:, col], minlength=counts.size)
+    table = radius, weights, counts
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -133,19 +141,19 @@ def fit_slope(profile, fit_lo, fit_hi):
     return float(alpha), float(intercept)
 
 
-def ralsd(grid, fit_lo=None, fit_hi=None, window=False):
-    """Full radial profile with the slope fit attached.
-
-    The profile is radial_profile(power_spectrum_2d(grid, window)), binned
-    from the real half-spectrum (rfft2, taken in place) with mirrored-column
-    weights.
-    """
-    f_hat = np.fft.rfft(_spectrum_input(grid, window), axis=1)  # rfft2, in one array
-    np.fft.fft(f_hat, axis=0, out=f_hat)
-    power = np.square(f_hat.real)
+def _half_power(f_hat, height, width, out=None):
+    """Power of rows of a height x width grid's real half-spectrum f_hat, each
+    column weighted as _annulus_table says; f_hat.imag is overwritten."""
+    power = np.square(f_hat.real, out=out)
     power += np.square(f_hat.imag, out=f_hat.imag)
-    power *= _annulus_table(grid.height, grid.width, True)[1]
-    profile = _annuli(power, grid.height, grid.width, half=True)
+    power *= _annulus_table(height, width, True)[1]
+    return power
+
+
+def _fit_profile(power, height, width, fit_lo, fit_hi):
+    """The profile of _half_power's whole array with the slope fit over
+    [fit_lo, fit_hi], either of which defaults to default_fit_range's."""
+    profile = _annuli(power, height, width, half=True)
     if fit_lo is None or fit_hi is None:
         lo, hi = default_fit_range(profile)
         fit_lo = lo if fit_lo is None else fit_lo
@@ -155,6 +163,27 @@ def ralsd(grid, fit_lo=None, fit_hi=None, window=False):
     return profile
 
 
+def ralsd(grid, fit_lo=None, fit_hi=None, window=False):
+    """Full radial profile with the slope fit attached.
+
+    The profile is radial_profile(power_spectrum_2d(grid, window)), binned
+    from the real half-spectrum (rfft2, taken in place) with mirrored-column
+    weights.
+    """
+    f_hat = np.fft.rfft(_spectrum_input(grid, window), axis=1)  # rfft2, in one array
+    np.fft.fft(f_hat, axis=0, out=f_hat)
+    return _fit_profile(_half_power(f_hat, grid.height, grid.width), grid.height, grid.width,
+                        fit_lo, fit_hi)
+
+
+def _named(label, func, *args):
+    """func(*args), with a degenerate spectrum's message naming its grid."""
+    try:
+        return func(*args)
+    except DegenerateSpectrumError as exc:
+        raise DegenerateSpectrumError(f"{label} grid: {exc}") from exc
+
+
 def ralsd_pair(pred, ref, fit_lo=None, fit_hi=None, window=False):
     """ralsd profiles of two same-shape grids, ref's over pred's fit range;
     a degenerate spectrum names its grid."""
@@ -162,15 +191,29 @@ def ralsd_pair(pred, ref, fit_lo=None, fit_hi=None, window=False):
         raise ValueError(
             f"pred is {pred.height}x{pred.width}, ref is {ref.height}x{ref.width}; "
             "slope comparison needs identical dims")
-    try:
-        p_pred = ralsd(pred, fit_lo, fit_hi, window)
-    except DegenerateSpectrumError as exc:
-        raise DegenerateSpectrumError(f"pred grid: {exc}") from exc
-    try:
-        p_ref = ralsd(ref, p_pred.fit_lo, p_pred.fit_hi, window)
-    except DegenerateSpectrumError as exc:
-        raise DegenerateSpectrumError(f"ref grid: {exc}") from exc
-    return p_pred, p_ref
+    p_pred = _named("pred", ralsd, pred, fit_lo, fit_hi, window)
+    return p_pred, _named("ref", ralsd, ref, p_pred.fit_lo, p_pred.fit_hi, window)
+
+
+def ralsd_upsampled_pair(pair, fit_lo=None, fit_hi=None, window=False):
+    """ralsd_pair(pair.fine, upsample_quadratic(pair.coarse, pair.scale_y,
+    pair.scale_x), fit_lo, fit_hi, window). Untapered, the reference's
+    half-spectrum comes block by block from the coarse grid's own DFT
+    (grid_core.upsampled_rfft2), so neither the upsampled field nor its
+    complex spectrum is built; a Hann taper breaks the polyphase structure
+    that rests on, so window=True upsamples."""
+    fine = pair.fine
+    if window:
+        return ralsd_pair(fine, upsample_quadratic(pair.coarse, pair.scale_y, pair.scale_x),
+                          fit_lo, fit_hi, window)
+    p_pred = _named("pred", ralsd, fine, fit_lo, fit_hi)
+    power = np.empty((fine.height, fine.width // 2 + 1))
+    row = 0
+    for block in upsampled_rfft2(pair.coarse, pair.scale_y, pair.scale_x):
+        _half_power(block, fine.height, fine.width, out=power[row:row + len(block)])
+        row += len(block)
+    return p_pred, _named("ref", _fit_profile, power, fine.height, fine.width,
+                          p_pred.fit_lo, p_pred.fit_hi)
 
 
 def spectral_loss(pred, ref, fit_lo=None, fit_hi=None, window=False):

@@ -16,7 +16,7 @@ import pytest
 import fluxgrid
 from fluxgrid import (ConvergenceStallError, Grid2D, GridPair, GrfSpec, RefineConfig,
                       coarsen_block_mean, gen_grf, metric_report, pde_loss, ralsd, read_csv,
-                      read_fgrd, refine, write_csv, write_fgrd)
+                      read_fgrd, refine, upsample_quadratic, write_csv, write_fgrd)
 from fluxgrid import cli
 from fluxgrid.cli import main
 
@@ -290,12 +290,38 @@ class TestMetrics:
         assert main(["metrics", str(fp), str(const), str(cp)]) == 4
 
     def test_constant_coarse_names_the_ref_grid(self, tmp_path, capsys):
-        # the spectrum that fails is the upsampled coarse reference's
-        fp, _ = write_pair(tmp_path, h=64, w=64)
+        # the spectrum that fails is the upsampled coarse reference's. It has no
+        # power off DC at any scale; an upsampled field's rounding noise had some
+        # at scales 3 and 5, where metrics then fitted L_spec to that noise
         const = tmp_path / "const.fgrd"
-        write_fgrd(Grid2D(16, 16, 4.0, 4.0, np.full((16, 16), 2.5)), const)
-        assert main(["metrics", str(fp), str(fp), str(const), "--cell", "4x4"]) == 4
-        assert "ref grid: zero power" in capsys.readouterr().err
+        for scale in (3, 4, 5):
+            fp, _ = write_pair(tmp_path, h=16 * scale, w=16 * scale)
+            for value in (2.5, 7.0, 288.15):
+                write_fgrd(Grid2D(16, 16, scale, scale, np.full((16, 16), value)), const)
+                code = main(["metrics", str(fp), str(fp), str(const), "--cell", "4x4"])
+                assert (code, scale, value) == (4, scale, value)
+                assert "ref grid: zero power" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", [False, True])
+    @pytest.mark.parametrize("h, w, scale", [(64, 64, 4), (48, 48, 3), (80, 40, 5)])
+    def test_reference_slope_is_the_upsampled_grids(self, tmp_path, h, w, scale, window):
+        # unwindowed, the reference's spectrum comes from the coarse grid's DFT
+        # and matches the upsampled grid's to rounding; --window upsamples
+        fp, cp = write_pair(tmp_path, seed=3, h=h, w=w, scale=scale)
+        out = tmp_path / "report.json"
+        argv = ["metrics", str(fp), str(fp), str(cp), "--cell", "2x2", "--out", str(out)]
+        assert main(argv + ["--window"] * window) == 0
+        spectral = json.loads(out.read_text())["spectral"]
+        fine, coarse = read_fgrd(fp), read_fgrd(cp)
+        pred = ralsd(fine, window=window)
+        ref = ralsd(upsample_quadratic(coarse, scale, scale), pred.fit_lo, pred.fit_hi, window)
+        assert spectral["alpha_pred"] == pred.alpha
+        assert spectral["fit_range"] == [pred.fit_lo, pred.fit_hi]
+        if window:
+            assert spectral["alpha_ref"] == ref.alpha
+        else:
+            assert spectral["alpha_ref"] == pytest.approx(ref.alpha, rel=1e-12)
+        assert spectral["l_spec"] == pytest.approx(abs(pred.alpha - ref.alpha), rel=1e-12)
 
     def test_constant_coarse_gives_no_cell_advice(self, tmp_path, capsys):
         # a constant grid has r_eff = 0 at any cell size, so larger cells cannot help

@@ -4,7 +4,8 @@ import pytest
 from fluxgrid import (Grid2D, coarsen_block_mean, gen_affine, make_pair,
                       upsample_quadratic)
 from fluxgrid.errors import DimensionMismatchError
-from fluxgrid.grid_core import _quad_weights_1d
+from fluxgrid import grid_core
+from fluxgrid.grid_core import _quad_weights_1d, upsampled_rfft2
 
 
 def grid(values, dx=1.0, dy=1.0):
@@ -119,6 +120,46 @@ class TestUpsampleQuadratic:
             my[1:-1, :] += sig2 / 2 * (mx[:-2, :] - 2 * mx[1:-1, :] + mx[2:, :])
             np.testing.assert_allclose(rt.values[1:-1, 1:-1], my[1:-1, 1:-1],
                                        atol=1e-12)
+
+
+class TestUpsampledRfft2:
+    """The upsampled field's half spectrum, from the coarse grid's own DFT."""
+
+    @pytest.mark.parametrize("scales", [(1, 1), (2, 2), (3, 3), (4, 4), (1, 4), (3, 2), (5, 1),
+                                        (2, 5)])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (3, 3), (1, 7), (7, 2), (3, 1), (5, 9),
+                                      (16, 16), (9, 4), (2, 13)])
+    def test_equals_the_rfft2_of_the_upsampled_field(self, dims, scales):
+        rng = np.random.default_rng(dims[0] * 10 + dims[1] + scales[1])
+        c = grid(rng.normal(size=dims) + 3.0)
+        want = np.fft.rfft2(upsample_quadratic(c, *scales).values)
+        got = np.concatenate(list(upsampled_rfft2(c, *scales)))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("rows", [1, 3, 32, 1000])
+    def test_blocks_of_any_rows_make_the_same_spectrum(self, monkeypatch, rows):
+        c = grid(np.random.default_rng(rows).normal(size=(7, 5)))
+        want = np.concatenate(list(upsampled_rfft2(c, 3, 4)))
+        monkeypatch.setattr(grid_core, "RFFT_ROWS", rows)
+        blocks = list(upsampled_rfft2(c, 3, 4))
+        assert all(len(b) == rows for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= rows
+        np.testing.assert_allclose(np.concatenate(blocks), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [2.5, 7.0, 288.15, -0.1])
+    @pytest.mark.parametrize("scales", [(3, 3), (4, 4), (5, 5), (2, 3)])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (16, 16), (5, 7)])
+    def test_a_constant_grid_has_nothing_off_dc(self, dims, scales, value):
+        # its upsampled field carries rounding noise; this spectrum is exactly 0
+        c = grid(np.full(dims, value))
+        got = np.concatenate(list(upsampled_rfft2(c, *scales)))
+        assert np.all(got.ravel()[1:] == 0)
+        n_fine = dims[0] * scales[0] * dims[1] * scales[1]
+        assert got[0, 0] == pytest.approx(value * n_fine, rel=1e-15)
+
+    def test_bad_scales_raise(self):
+        with pytest.raises(ValueError, match="scales"):
+            next(upsampled_rfft2(grid(np.zeros((3, 3))), 0, 2))
 
 
 class TestMakePair:

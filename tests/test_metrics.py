@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from fluxgrid import Grid2D, bias, metric_report, pearson, r_squared, rmse
+from fluxgrid import metrics
 from fluxgrid.errors import DegenerateVarianceError, DimensionMismatchError
+from fluxgrid.metrics import _sums
 
 from oracle import oracle_bias, oracle_pearson, oracle_r_squared, oracle_rmse
 
@@ -154,3 +156,64 @@ def test_metric_report_raises_like_the_functions(constant, value):
     with pytest.raises(DegenerateVarianceError) as got:
         metric_report(p, t)
     assert str(got.value) == str(want.value)
+
+
+def whole_field_sums(p, t):
+    """_sums' figures from whole-field temporaries, one reduction each."""
+    pv, tv = p.ravel(), t.ravel()
+    diff = pv - tv
+    ss_res = float(np.einsum("i,i", diff, diff))
+    pc, tc = pv - pv.mean(), tv - tv.mean()
+    dots = tuple(float(np.einsum("i,i", a, b)) for a, b in ((pc, pc), (tc, tc), (pc, tc)))
+    return [np.sqrt(ss_res / diff.size), np.mean(diff), ss_res, dots]
+
+
+class TestBlockedSums:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (181, 181), (256, 256), (300, 251)])
+    def test_matches_whole_field_formulas(self, shape):
+        # 181x181 and 300x251 end in a part block; 256x256 is two whole ones
+        rng = np.random.default_rng(shape[0])
+        t = rng.normal(size=shape) + 3.0
+        p = t + 0.3 * rng.normal(size=shape) - 0.1
+        got, want = _sums(grid(p), grid(t)), whole_field_sums(p, t)
+        assert got[:3] == pytest.approx(want[:3], rel=1e-12)
+        assert got[3] == pytest.approx(want[3], rel=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 100, 1 << 20])
+    def test_any_block_gives_the_same_sums(self, monkeypatch, block):
+        rng = np.random.default_rng(block)
+        t = rng.normal(size=(10, 13))
+        p = t + rng.normal(size=(10, 13))
+        want = whole_field_sums(p, t)
+        monkeypatch.setattr(metrics, "BLOCK", block)
+        got = _sums(grid(p), grid(t))
+        assert got[:3] == pytest.approx(want[:3], rel=1e-12)
+        assert got[3] == pytest.approx(want[3], rel=1e-12)
+        assert _sums(grid(p), grid(t), centred=False)[:3] == got[:3]
+        assert _sums(grid(p), grid(t), centred=False)[3] is None
+
+    @pytest.mark.parametrize("value", [0.1, -3.7, 288.15])
+    def test_constant_field_over_many_blocks(self, value):
+        # the mean of value over 75,300 pixels is inexact; its dot must still be 0
+        rng = np.random.default_rng(2)
+        const, noisy = grid(np.full((300, 251), value)), grid(rng.normal(size=(300, 251)))
+        assert _sums(const, noisy)[3][0] == 0.0
+        assert _sums(noisy, const)[3][1] == 0.0
+        for p, t, name in ((const, noisy, "pred"), (noisy, const, "truth")):
+            with pytest.raises(DegenerateVarianceError, match=name):
+                metric_report(p, t)
+
+    def test_millikelvin_noise_on_288_kelvin(self):
+        # sum(t*t) - n*mean^2 is off by about 3e-5 here; centred dots are not
+        rng = np.random.default_rng(5)
+        t = 288.0 + 1e-3 * rng.normal(size=(300, 251))
+        p = t + 1e-4 * rng.normal(size=(300, 251))
+        _, _, _, (pp, tt, pt) = _sums(grid(p), grid(t))
+        want_tt = float(np.sum((t - t.mean()) ** 2))
+        raw_tt = float(np.einsum("i,i", t.ravel(), t.ravel())) - t.size * t.mean() ** 2
+        assert tt == pytest.approx(want_tt, rel=1e-10)
+        assert raw_tt != pytest.approx(want_tt, rel=1e-10)
+        assert pp == pytest.approx(float(np.sum((p - p.mean()) ** 2)), rel=1e-10)
+        rep = metric_report(grid(p), grid(t))
+        assert rep.pcc == pytest.approx(np.corrcoef(p.ravel(), t.ravel())[0, 1], rel=1e-10)
+        assert 0.98 < rep.r2 < 1.0

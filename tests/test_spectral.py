@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from fluxgrid import (Grid2D, GrfSpec, default_fit_range, fit_slope, gen_grf,
-                      power_spectrum_2d, radial_profile, ralsd, spectral_loss)
+from fluxgrid import (Grid2D, GridPair, GrfSpec, coarsen_block_mean, default_fit_range,
+                      fit_slope, gen_grf, power_spectrum_2d, radial_profile, ralsd,
+                      spectral_loss, upsample_quadratic)
 from fluxgrid.errors import DegenerateSpectrumError, TooSmallGridError
-from fluxgrid.spectral import SpectrumProfile, _annuli, _annulus_table
+from fluxgrid.spectral import (SpectrumProfile, _annuli, _annulus_table, ralsd_pair,
+                               ralsd_upsampled_pair)
 
 
 def grid(values, dx=1.0, dy=1.0):
@@ -218,3 +220,51 @@ def test_fit_range_must_lie_within_the_profile(lo, hi):
         fit_slope(prof, lo, hi)
     with pytest.raises(ValueError, match="within"):
         ralsd(gen_grf(GrfSpec(32, 32, -2.0, 4)), lo, hi)
+
+
+def upsampled_pair(shape, scales, seed):
+    fine = gen_grf(GrfSpec(*shape, -2.5, seed))
+    noisy = fine.with_values(fine.values + 0.1 * np.random.default_rng(seed).normal(size=shape))
+    return GridPair(coarsen_block_mean(fine, *scales), noisy, *scales)
+
+
+class TestRalsdUpsampledPair:
+    @pytest.mark.parametrize("fit", [(None, None), (2, 9)])
+    @pytest.mark.parametrize("shape,scales", [((64, 64), (4, 4)), ((96, 60), (3, 2)),
+                                              ((45, 63), (5, 3)), ((40, 40), (1, 1)),
+                                              ((32, 64), (16, 32))])
+    def test_matches_ralsd_pair_of_the_upsampled_grid(self, shape, scales, fit):
+        pair = upsampled_pair(shape, scales, sum(shape))
+        ref = upsample_quadratic(pair.coarse, *scales)
+        want = ralsd_pair(pair.fine, ref, *fit)
+        got = ralsd_upsampled_pair(pair, *fit)
+        np.testing.assert_array_equal(got[0].psi, want[0].psi)  # pred's is ralsd's own
+        assert (got[0].alpha, got[0].fit_lo, got[0].fit_hi) == (
+            want[0].alpha, want[0].fit_lo, want[0].fit_hi)
+        np.testing.assert_array_equal(got[1].k_bins, want[1].k_bins)
+        np.testing.assert_array_equal(got[1].counts, want[1].counts)
+        np.testing.assert_allclose(got[1].psi, want[1].psi, rtol=1e-12)
+        assert (got[1].fit_lo, got[1].fit_hi) == (want[1].fit_lo, want[1].fit_hi)
+        assert got[1].alpha == pytest.approx(want[1].alpha, rel=1e-12)
+        assert got[1].intercept == pytest.approx(want[1].intercept, rel=1e-12)
+
+    def test_window_upsamples_bit_for_bit(self):
+        pair = upsampled_pair((48, 48), (3, 3), 2)
+        want = ralsd_pair(pair.fine, upsample_quadratic(pair.coarse, 3, 3), window=True)
+        got = ralsd_upsampled_pair(pair, window=True)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.psi, w.psi)
+            assert (g.alpha, g.intercept) == (w.alpha, w.intercept)
+
+    @pytest.mark.parametrize("scale", [3, 4, 5])
+    def test_a_constant_reference_is_degenerate_at_every_scale(self, scale):
+        pair = upsampled_pair((16 * scale, 16 * scale), (scale, scale), 0)
+        pair.coarse = grid(np.full((16, 16), 288.15))
+        with pytest.raises(DegenerateSpectrumError, match="^ref grid: zero power"):
+            ralsd_upsampled_pair(pair)
+
+    def test_a_constant_prediction_names_pred(self):
+        pair = upsampled_pair((32, 32), (4, 4), 0)
+        pair.fine = grid(np.zeros((32, 32)))
+        with pytest.raises(DegenerateSpectrumError, match="^pred grid: "):
+            ralsd_upsampled_pair(pair)
