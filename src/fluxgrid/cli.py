@@ -23,7 +23,7 @@ from .errors import (ConvergenceStallError, CsvParseError,
                      TooSmallGridError)
 from .findiff import DEFAULT_EPS
 from .formats import read_csv, read_fgrd, write_fgrd
-from .grid_core import Grid2D, GridPair, check_scales, make_pair
+from .grid_core import GridPair, check_scales, make_pair
 from .metrics import metric_report
 from .refine import RefineConfig, refine
 from .spectral import ralsd, ralsd_upsampled_pair
@@ -127,16 +127,6 @@ def _load_grids(pred_path, truth_path, coarse_path):
     if truth is None:
         truth = _load_grid(truth_path)
     return pred, truth, _load_grid(coarse_path)
-
-
-def _pair(coarse, coarse_path, fine):
-    """GridPair of coarse and fine. CSV stores no spacing, so a coarse grid
-    read from CSV takes the fine grid's spacing times the scales."""
-    pair = GridPair.from_grids(coarse, fine)
-    if str(coarse_path).endswith(".csv"):
-        pair.coarse = Grid2D(coarse.height, coarse.width, fine.dx * pair.scale_x,
-                             fine.dy * pair.scale_y, coarse.values)
-    return pair
 
 
 def _parse_cell(text):
@@ -255,13 +245,13 @@ def cmd_metrics(args):
     stage's error wins."""
     (pred, truth, coarse), t_load = _timed(_load_grids, args.pred, args.truth, args.coarse)
     background = _Background(
-        lambda: _timed(lambda: pde_loss(_pair(coarse, args.coarse, pred), pred, eps=args.eps,
+        lambda: _timed(lambda: pde_loss(GridPair.from_grids(coarse, pred), pred, eps=args.eps,
                                         cell_override=args.cell, ratio_eps=args.ratio_eps,
                                         anomaly=args.anomaly)),
         lambda: _timed(_input_hashes, args))
     try:
         report, t_metrics = _timed(metric_report, pred, truth)
-        pair = _pair(coarse, args.coarse, pred)
+        pair = GridPair.from_grids(coarse, pred)
     except BaseException:
         background.join()
         raise
@@ -318,11 +308,11 @@ def cmd_refine(args):
                        max_iters=args.iters, grad_mode=args.grad_mode,
                        fd_h=args.fd_h, tol=args.tol, eps=args.eps,
                        cell_override=args.cell)
-    coarse = _pair(coarse, args.coarse, init).coarse
     try:
         trace = refine(init, coarse, cfg)
     except ConvergenceStallError as exc:
-        if args.trace and exc.trace is not None:
+        _reference_verdict(coarse, exc.trace.coarse_report.r_eff)
+        if args.trace:
             _write_trace_csv(exc.trace, args.trace)
         raise
     _reference_verdict(coarse, trace.coarse_report.r_eff)

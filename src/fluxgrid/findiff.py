@@ -26,7 +26,6 @@ class GradientField:
     mag: np.ndarray
     ux: np.ndarray
     uy: np.ndarray
-    eps: float
 
 
 def check_stabilizer(name, value):
@@ -120,4 +119,4 @@ def gradient_central(grid, eps=DEFAULT_EPS):
     gy = _diff_axis(grid.values, grid.dy, axis=0)
     mag = np.sqrt(gx * gx + gy * gy)
     denom = mag + eps
-    return GradientField(gx=gx, gy=gy, mag=mag, ux=gx / denom, uy=gy / denom, eps=eps)
+    return GradientField(gx=gx, gy=gy, mag=mag, ux=gx / denom, uy=gy / denom)

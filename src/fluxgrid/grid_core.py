@@ -8,7 +8,7 @@ upscaled field's half-spectrum from the coarse grid's own DFT.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +54,9 @@ class Grid2D:
 
 @dataclass
 class GridPair:
-    """A (coarse, fine) pair covering the same physical extent."""
+    """A (coarse, fine) pair covering the same physical extent. Its coarse grid
+    keeps the given values at the fine spacing times the scales: the spacing
+    it came with (CSV's unit one, or an FGRD header's) is not used."""
 
     coarse: Grid2D
     fine: Grid2D
@@ -69,6 +71,8 @@ class GridPair:
                 f"({self.coarse.height}, {self.coarse.width}) times scales "
                 f"({self.scale_y}, {self.scale_x})"
             )
+        self.coarse = replace(self.coarse, dx=self.fine.dx * self.scale_x,
+                              dy=self.fine.dy * self.scale_y)
 
     @classmethod
     def from_grids(cls, coarse, fine):
@@ -192,17 +196,12 @@ def upsampled_rfft2(coarse, scale_y, scale_x):
 
 
 def _upsample_axis(vals, scale, axis):
-    """Quadratic interpolation of vals along axis (0 or 1) by scale. The stencil
-    is the same for every fine sample of a block, so only coarse lines are
-    gathered, each broadcast over its block with (n, scale) weights."""
-    n = vals.shape[axis]
-    idx, wts = _quad_weights_1d(n, scale)
-    lines = [np.expand_dims(np.take(vals, i, axis), axis + 1) for i in idx[:, ::scale]]
-    wts = wts.reshape((3, n, scale) + (1,) * (1 - axis))
-    out, tmp = lines[0] * wts[0], lines[1] * wts[1]
-    out += tmp
-    out += np.multiply(lines[2], wts[2], out=tmp)
-    return out.reshape(n * scale if axis == 0 else vals.shape[0], -1)
+    """Quadratic interpolation of vals along axis (0 or 1) by scale: each fine
+    sample gathers its own three-sample stencil."""
+    idx, wts = _quad_weights_1d(vals.shape[axis], scale)
+    wts = np.expand_dims(wts, 2 - axis)
+    return (np.take(vals, idx[0], axis) * wts[0] + np.take(vals, idx[1], axis) * wts[1]
+            + np.take(vals, idx[2], axis) * wts[2])
 
 
 def upsample_quadratic(coarse, scale_y, scale_x):

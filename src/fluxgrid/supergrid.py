@@ -68,7 +68,6 @@ class FluxReport:
     phi_adv: np.ndarray
     phi_diff: np.ndarray
     r_eff: np.ndarray
-    eps: float
 
 
 @dataclass
@@ -244,7 +243,7 @@ def _fluxes(grid, part, lines, eps, ratio_eps, anomaly=False):
     phi_adv = _boundary_mean(part, adv, outward=True)
     phi_diff = _boundary_mean(part, diff)
     r_eff = phi_adv / (phi_diff + ratio_eps)
-    return FluxReport(phi_adv=phi_adv, phi_diff=phi_diff, r_eff=r_eff, eps=eps)
+    return FluxReport(phi_adv=phi_adv, phi_diff=phi_diff, r_eff=r_eff)
 
 
 def cell_fluxes(grid, part, eps=DEFAULT_EPS, ratio_eps=None, anomaly=False):

@@ -258,10 +258,13 @@ class TestMetrics:
 
     def test_csv_coarse_takes_the_fine_spacing(self, tmp_path):
         # CSV stores no spacing: the coarse grid must be read at 4x the
-        # fine spacing, as the FGRD coarse grid is, not at spacing 1
+        # fine spacing, as the FGRD coarse grid is, not at spacing 1. So must
+        # an FGRD coarse grid whose header says spacing 1
         assert main(["synth", "grf", "--h", "64", "--w", "64", "--slope", "-2.5",
                      "--scale", "4", "--out-fine", str(tmp_path / "f.fgrd"),
                      "--out-coarse", str(tmp_path / "c.fgrd")]) == 0
+        coarse = read_fgrd(tmp_path / "c.fgrd")
+        write_fgrd(Grid2D(16, 16, 1.0, 1.0, coarse.values), tmp_path / "unit.fgrd")
         l_flux = {}
         for ext in ("fgrd", "csv"):
             paths = []
@@ -274,8 +277,13 @@ class TestMetrics:
             assert main(["metrics", paths[0], paths[0], paths[1], "--cell", "4x4",
                          "--out", str(out)]) == 0
             l_flux[ext] = json.loads(out.read_text())["metrics"]["l_flux"]
+        out = tmp_path / "unit.json"
+        assert main(["metrics", str(tmp_path / "f.fgrd"), str(tmp_path / "f.fgrd"),
+                     str(tmp_path / "unit.fgrd"), "--cell", "4x4", "--out", str(out)]) == 0
+        l_flux["unit"] = json.loads(out.read_text())["metrics"]["l_flux"]
         assert l_flux["fgrd"] > 1.0
         assert l_flux["csv"] == l_flux["fgrd"]
+        assert l_flux["unit"] == l_flux["fgrd"]
 
     def test_dim_mismatch_exit_3(self, tmp_path):
         fp, _ = write_pair(tmp_path)
@@ -605,8 +613,8 @@ class TestRefine:
         assert main(["refine", str(fp), str(cp), "--lam", "-1.0",
                      "--out", str(tmp_path / "o.fgrd")]) == 2
 
-    def test_stall_exit_5_with_trace(self, tmp_path):
-        fp, cp = write_pair(tmp_path, seed=7, h=16, w=16)
+    def test_stall_exit_5_with_trace(self, tmp_path, capsys):
+        fp, cp = write_pair(tmp_path, seed=7, h=16, w=16)  # 8x8 coarse grid: 1x1 cells
         out = tmp_path / "o.fgrd"
         trace = tmp_path / "trace.csv"
         # enormous fd step gives a bogus numeric gradient; the microscopic
@@ -616,6 +624,11 @@ class TestRefine:
                      "--step", "1e-25", "--iters", "3",
                      "--out", str(out), "--trace", str(trace)])
         assert code == 5
+        # the degenerate-reference warning comes before the stall's error
+        warning, error = capsys.readouterr().err.splitlines()
+        assert warning == ("warning: every coarse 1x1 cell has r_eff = 0, so L_flux ignores "
+                           "the coarse grid; pass --cell CHxCW with larger cells")
+        assert error.startswith("error: no descent step found ")
         assert trace.exists()
         assert not out.exists()
         cfg = RefineConfig(lambda_pde=1.0, grad_mode="numeric_central", fd_h=100.0,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluxgrid import (Grid2D, coarsen_block_mean, gen_affine, make_pair,
+from fluxgrid import (Grid2D, GridPair, coarsen_block_mean, gen_affine, make_pair,
                       upsample_quadratic)
 from fluxgrid.errors import DimensionMismatchError
 from fluxgrid import grid_core
@@ -178,6 +178,28 @@ class TestMakePair:
         pair = make_pair(f, 2, 2)
         assert (pair.coarse.height, pair.coarse.width) == (3, 2)
         assert pair.coarse.dx == 2.0 and pair.coarse.dy == 2.0
+
+
+class TestGridPairSpacing:
+    """However it is paired, a coarse grid takes the fine spacing times the
+    scales, and keeps its values and the grid it came from as they were."""
+
+    @pytest.mark.parametrize("scales", [(2, 3), (4, 1), (1, 1)])
+    def test_every_pairing_gives_the_fine_spacing_times_the_scales(self, scales):
+        sy, sx = scales
+        rng = np.random.default_rng(10 * sy + sx)
+        fine = grid(rng.normal(size=(6 * sy, 4 * sx)), dx=0.6, dy=1.7)
+        block = coarsen_block_mean(fine, sy, sx).values
+        want = (fine.dx * sx, fine.dy * sy)
+        pairs = [make_pair(fine, sy, sx)]
+        for spacing in ((1.0, 1.0), (5.0, 0.25), want):
+            coarse = Grid2D(6, 4, *spacing, block)
+            pairs += [GridPair(coarse, fine, sy, sx), GridPair.from_grids(coarse, fine)]
+            assert (coarse.dx, coarse.dy) == spacing
+        for pair in pairs:
+            assert (pair.coarse.dx, pair.coarse.dy) == want
+            assert pair.coarse.values.tobytes() == block.tobytes()
+            assert pair.fine is fine and (pair.scale_y, pair.scale_x) == scales
 
 
 class TestGrid2D:

@@ -216,6 +216,22 @@ class TestRefine:
         assert trace.coarse_report.r_eff.tobytes() == want.coarse_report.r_eff.tobytes()
         assert trace.coarse_report.r_eff.shape == want.coarse_report.r_eff.shape
 
+    def test_unit_spaced_coarse_gives_the_same_trace(self):
+        # the pair takes the fine spacing times the scales, whatever the coarse
+        # grid's own spacing says
+        rng = np.random.default_rng(18)
+        truth = gen_grf(GrfSpec(32, 48, -2.5, 18), dx=0.5, dy=2.0)
+        coarse = coarsen_block_mean(truth, 2, 4)
+        init = truth.with_values(truth.values + 0.2 * rng.normal(size=(32, 48)))
+        unit = Grid2D(16, 12, 1.0, 1.0, coarse.values)
+        cfg = RefineConfig(max_iters=4, cell_override=(4, 4))
+        want, got = refine(init, coarse, cfg), refine(init, unit, cfg)
+        assert (got.objective, got.fidelity, got.pde) == (want.objective, want.fidelity,
+                                                          want.pde)
+        assert (got.iters_run, got.lambda_used) == (want.iters_run, want.lambda_used)
+        assert got.final_field.values.tobytes() == want.final_field.values.tobytes()
+        assert got.coarse_report.r_eff.tobytes() == want.coarse_report.r_eff.tobytes()
+
     @pytest.mark.parametrize("tol, iters, converged", [(0.5, 2, True), (0.0, 10, False)])
     def test_tolerance_stop(self, tol, iters, converged):
         # from the upsampled coarse grid the objective drops by 66% and then by
