@@ -11,8 +11,10 @@ real half-spectrum (rfft2, as |F(-k)| = |F(k)|), each column weighing 2 but
 column 0 and an even width's Nyquist column: the same profile, half the work.
 It takes that rfft2 as an rfft along the rows and then an FFT down the
 columns in place (out=, numpy >= 2.0): bitwise the same, in one complex array.
-ralsd_upsampled_pair bins an upsampled coarse reference's half-spectrum the
-same way, taken block by block from grid_core.upsampled_rfft2.
+Every profile comes from one power step, _profile, fed a half-spectrum in row
+blocks: ralsd's as one block, and ralsd_upsampled_pair's upsampled coarse
+reference's block by block from grid_core.upsampled_rfft2. Under a Hann taper
+a constant field would fit the taper's own slope, so it raises instead.
 """
 
 import functools
@@ -141,18 +143,17 @@ def fit_slope(profile, fit_lo, fit_hi):
     return float(alpha), float(intercept)
 
 
-def _half_power(f_hat, height, width, out=None):
-    """Power of rows of a height x width grid's real half-spectrum f_hat, each
-    column weighted as _annulus_table says; f_hat.imag is overwritten."""
-    power = np.square(f_hat.real, out=out)
-    power += np.square(f_hat.imag, out=f_hat.imag)
-    power *= _annulus_table(height, width, True)[1]
-    return power
-
-
-def _fit_profile(power, height, width, fit_lo, fit_hi):
-    """The profile of _half_power's whole array with the slope fit over
-    [fit_lo, fit_hi], either of which defaults to default_fit_range's."""
+def _profile(blocks, height, width, fit_lo, fit_hi):
+    """The profile of a height x width grid from its real half-spectrum, given
+    as row blocks whose imag parts are overwritten: each column's power weighted
+    as _annulus_table says, then binned, with the slope fit over [fit_lo,
+    fit_hi], either of which defaults to default_fit_range's."""
+    power, row = np.empty((height, width // 2 + 1)), 0
+    for f_hat in blocks:
+        block = np.square(f_hat.real, out=power[row:row + len(f_hat)])
+        block += np.square(f_hat.imag, out=f_hat.imag)
+        block *= _annulus_table(height, width, True)[1]
+        row += len(f_hat)
     profile = _annuli(power, height, width, half=True)
     if fit_lo is None or fit_hi is None:
         lo, hi = default_fit_range(profile)
@@ -168,12 +169,14 @@ def ralsd(grid, fit_lo=None, fit_hi=None, window=False):
 
     The profile is radial_profile(power_spectrum_2d(grid, window)), binned
     from the real half-spectrum (rfft2, taken in place) with mirrored-column
-    weights.
+    weights. Under window a constant grid raises: its spectrum is the taper's.
     """
-    f_hat = np.fft.rfft(_spectrum_input(grid, window), axis=1)  # rfft2, in one array
+    values = _spectrum_input(grid, window)
+    if window and np.ptp(grid.values) == 0:
+        raise DegenerateSpectrumError("zero power off DC: the grid is constant")
+    f_hat = np.fft.rfft(values, axis=1)  # rfft2, in one array
     np.fft.fft(f_hat, axis=0, out=f_hat)
-    return _fit_profile(_half_power(f_hat, grid.height, grid.width), grid.height, grid.width,
-                        fit_lo, fit_hi)
+    return _profile([f_hat], grid.height, grid.width, fit_lo, fit_hi)
 
 
 def _named(label, func, *args):
@@ -201,19 +204,16 @@ def ralsd_upsampled_pair(pair, fit_lo=None, fit_hi=None, window=False):
     half-spectrum comes block by block from the coarse grid's own DFT
     (grid_core.upsampled_rfft2), so neither the upsampled field nor its
     complex spectrum is built; a Hann taper breaks the polyphase structure
-    that rests on, so window=True upsamples."""
-    fine = pair.fine
-    if window:
-        return ralsd_pair(fine, upsample_quadratic(pair.coarse, pair.scale_y, pair.scale_x),
-                          fit_lo, fit_hi, window)
-    p_pred = _named("pred", ralsd, fine, fit_lo, fit_hi)
-    power = np.empty((fine.height, fine.width // 2 + 1))
-    row = 0
-    for block in upsampled_rfft2(pair.coarse, pair.scale_y, pair.scale_x):
-        _half_power(block, fine.height, fine.width, out=power[row:row + len(block)])
-        row += len(block)
-    return p_pred, _named("ref", _fit_profile, power, fine.height, fine.width,
-                          p_pred.fit_lo, p_pred.fit_hi)
+    that rests on, so window=True upsamples. A constant coarse grid, whose taper
+    would give the reference the taper's slope (and whose upsampled field is
+    constant only to rounding), takes the untapered path, exactly 0 off DC."""
+    fine, coarse, scales = pair.fine, pair.coarse, (pair.scale_y, pair.scale_x)
+    p_pred = _named("pred", ralsd, fine, fit_lo, fit_hi, window)
+    if window and np.ptp(coarse.values) > 0:
+        return p_pred, _named("ref", ralsd, upsample_quadratic(coarse, *scales),
+                              p_pred.fit_lo, p_pred.fit_hi, window)
+    return p_pred, _named("ref", _profile, upsampled_rfft2(coarse, *scales), fine.height,
+                          fine.width, p_pred.fit_lo, p_pred.fit_hi)
 
 
 def spectral_loss(pred, ref, fit_lo=None, fit_hi=None, window=False):

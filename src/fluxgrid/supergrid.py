@@ -15,15 +15,15 @@ cell lists its line twice), with findiff.line_gradient, gradient_central's
 stencils on those lines (25% of the pixels, once per direction, at 16x16).
 Per-cell sums add up each cell's stretch of its lines.
 
-One private kernel, _fluxes, walks the grid in bands of cell rows. A band's
-line quantities (t, the two derivatives, |grad T| and u) live in per-axis
-scratch of about BAND_ELEMS elements per array, the column lines with one
-halo row either side so that the derivative along them keeps its centred
-stencil; only the per-line, per-cell sums leave a band, and the sums of
-t * u take the product inside their einsum, so cell_fluxes and pde_loss
-keep no line arrays. With anomaly, a pre-pass over t takes each cell's
-boundary mean of T first, and each band subtracts it from its t in place.
-Scratch that spans the grid holds it as one band, and that is how a
+One private kernel, _fluxes, walks the grid once, in bands of cell rows. A
+band's line quantities (t, the two derivatives, |grad T| and u) live in
+per-axis scratch of about BAND_ELEMS elements per array, the column lines
+with one halo row either side so that the derivative along them keeps its
+centred stencil. A band holds whole cells, so it finishes them: it takes
+(with anomaly) each cell's boundary mean of T from its own line sums and
+subtracts it from its t in place, then writes its cell rows of the fluxes.
+The sums of t * u take the product inside their einsum, so cell_fluxes and
+pde_loss keep no line arrays. Scratch that spans the grid holds it as one band, and that is how a
 FluxRatioLoss keeps the lines its adjoint needs: its first adjoint call swaps
 the scratch for whole lines. The adjoint back-propagates on them and adds
 into the rows and columns the stencils read (findiff.line_gradient_adjoint),
@@ -120,10 +120,10 @@ class _EdgeLines:
     lines lists each cell's first line and then its last line, cell by cell,
     so a one-pixel-thin cell lists its line twice; arrays on the lines (and
     their per-cell sums) hold first lines at even and last lines at odd
-    positions along axis. _fluxes fills t (less its cell's boundary mean with
-    anomaly), g_along, g_normal, mag and u (the normal component of the unit
-    vector) one band of cell rows at a time, and d with the spacings along
-    and across; cell_len is a cell's extent along a line.
+    positions along axis. For one band of cell rows at a time, _fluxes fills
+    both axes' t (less its cell's boundary mean with anomaly), g_along,
+    g_normal, mag and u (the normal component of the unit vector); d holds the
+    spacings along and across, cell_len a cell's extent along a line.
     The arrays hold one band: the whole lines if it spans the grid.
     """
 
@@ -155,20 +155,18 @@ def _line_tables(part, band=None):
 
 
 def _bands(grid, part, lines):
-    """For each band of cell rows that the arrays of lines hold, and each axis:
-    (ln, slab, sel, n, rows, dst). slab is the band's pixel rows with a halo
-    row either side within the grid, sel its lines indexed in slab, n the
-    array rows they fill, rows those of the band itself and dst the band's
-    rows of the per-line sums."""
+    """For each band of cell rows that the arrays of lines hold: its cell rows
+    and, for each axis, (ln, slab, sel, n, rows). slab is the band's pixel rows
+    with a halo row either side within the grid, sel its lines indexed in slab,
+    n the array rows they fill and rows those of the band itself."""
     band, cell_h = len(lines[0].t) // 2, part.cell_h
     for c0 in range(0, part.n_rows, band):
         c1 = min(c0 + band, part.n_rows)
         lo, hi = max(c0 * cell_h - 1, 0), min(c1 * cell_h + 1, grid.height)
         slab = grid.values[lo:hi]
-        yield (lines[0], slab, lines[0].lines[2 * c0:2 * c1] - lo, 2 * (c1 - c0),
-               slice(None), slice(2 * c0, 2 * c1))
-        yield (lines[1], slab, lines[1].lines, hi - lo,
-               slice(c0 * cell_h - lo, c1 * cell_h - lo), slice(c0, c1))
+        yield slice(c0, c1), (
+            (lines[0], slab, lines[0].lines[2 * c0:2 * c1] - lo, 2 * (c1 - c0), slice(None)),
+            (lines[1], slab, lines[1].lines, hi - lo, slice(c0 * cell_h - lo, c1 * cell_h - lo)))
 
 
 def _cells(ln, x):
@@ -179,12 +177,11 @@ def _cells(ln, x):
     return x.reshape(-1, ln.cell_len, x.shape[1])
 
 
-def _line_sums(ln, out, *xs):
-    """Sums of the product of xs, given on the lines, over each cell's stretch
-    of each line, into out: (lines, n_cols) for axis 0, (n_rows, lines) for axis 1."""
+def _line_sums(ln, *xs):
+    """Sums of the product of xs, laid out on the lines by _cells, over each
+    cell's stretch of each line: (lines, n_cols) for axis 0, (n_rows, lines) for axis 1."""
     # einsum: sum over a short last axis is slow, and the product needs no array
-    np.einsum(",".join(["ijk"] * len(xs)) + ("->ij" if ln.axis == 0 else "->ik"),
-              *(_cells(ln, x) for x in xs), out=out)
+    return np.einsum(",".join(["ijk"] * len(xs)) + ("->ij" if ln.axis == 0 else "->ik"), *xs)
 
 
 def _boundary_mean(part, sums, outward=False):
@@ -213,35 +210,32 @@ def _boundary_mean_adjoint(part, lines, per_cell, outward=False):
 def _fluxes(grid, part, lines, eps, ratio_eps, anomaly=False):
     """Per-cell fluxes of a grid, band by band through the arrays of lines.
 
-    Only the per-line, per-cell sums leave a band. With anomaly, a pre-pass
-    over t takes each cell's boundary mean of T, which is subtracted before
-    the product with u.
+    Each band fills both axes' lines and then writes its own cell rows of
+    phi_adv and phi_diff: a band holds whole cells, so with anomaly it takes
+    each cell's boundary mean of T from its own lines and subtracts it from t
+    before the product with u.
     """
     check_gradient_input(grid, eps)
     lines[0].d, lines[1].d = (grid.dx, grid.dy), (grid.dy, grid.dx)
-    shapes = ((2 * part.n_rows, part.n_cols), (part.n_rows, 2 * part.n_cols))
-    adv, diff = [np.empty(s) for s in shapes], [np.empty(s) for s in shapes]
-    if anomaly:  # adv holds the line sums of T until the main pass
-        for ln, slab, sel, n, rows, dst in _bands(grid, part, lines):
-            t = np.take(slab, sel, ln.axis, out=ln.t[:n], mode="clip")
-            _line_sums(ln, adv[ln.axis][dst], t[rows])
-        t_mean = _boundary_mean(part, adv)
-        t_mean = [np.repeat(t_mean, 2, axis) for axis in (0, 1)]  # laid out like the sums
-    for ln, slab, sel, n, rows, dst in _bands(grid, part, lines):
-        t, g_along, g_normal, mag, u = (x[:n] for x in (ln.t, ln.g_along, ln.g_normal,
-                                                        ln.mag, ln.u))
-        line_gradient(slab, sel, ln.axis, *ln.d, (t, g_along, g_normal))
-        np.multiply(g_along, g_along, out=mag)  # |grad T|, u as scratch
-        mag += np.multiply(g_normal, g_normal, out=u)
-        np.sqrt(mag, out=mag)
-        np.divide(g_normal, np.add(mag, eps, out=u), out=u)
-        if anomaly:  # a view: the band's t, less its cells' boundary means
-            cells = _cells(ln, t[rows])
-            cells -= np.expand_dims(t_mean[ln.axis][dst], 2 - ln.axis)
-        _line_sums(ln, adv[ln.axis][dst], t[rows], u[rows])
-        _line_sums(ln, diff[ln.axis][dst], mag[rows])
-    phi_adv = _boundary_mean(part, adv, outward=True)
-    phi_diff = _boundary_mean(part, diff)
+    phi_adv, phi_diff = np.empty((2, part.n_rows, part.n_cols))
+    for cells, axes in _bands(grid, part, lines):
+        band = []
+        for ln, slab, sel, n, rows in axes:
+            t, g_along, g_normal, mag, u = (x[:n] for x in (ln.t, ln.g_along, ln.g_normal,
+                                                            ln.mag, ln.u))
+            line_gradient(slab, sel, ln.axis, *ln.d, (t, g_along, g_normal))
+            np.multiply(g_along, g_along, out=mag)  # |grad T|, u as scratch
+            mag += np.multiply(g_normal, g_normal, out=u)
+            np.sqrt(mag, out=mag)
+            np.divide(g_normal, np.add(mag, eps, out=u), out=u)
+            band.append([_cells(ln, x[rows]) for x in (t, u, mag)])
+        t, u, mag = zip(*band)  # one view per axis, of the band's own rows
+        if anomaly:
+            t_mean = _boundary_mean(part, map(_line_sums, lines, t))
+            for ln, x in zip(lines, t):
+                x -= np.expand_dims(np.repeat(t_mean, 2, ln.axis), 2 - ln.axis)
+        phi_adv[cells] = _boundary_mean(part, map(_line_sums, lines, t, u), outward=True)
+        phi_diff[cells] = _boundary_mean(part, map(_line_sums, lines, mag))
     r_eff = phi_adv / (phi_diff + ratio_eps)
     return FluxReport(phi_adv=phi_adv, phi_diff=phi_diff, r_eff=r_eff)
 

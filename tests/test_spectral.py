@@ -5,8 +5,8 @@ from fluxgrid import (Grid2D, GridPair, GrfSpec, coarsen_block_mean, default_fit
                       fit_slope, gen_grf, power_spectrum_2d, radial_profile, ralsd,
                       spectral_loss, upsample_quadratic)
 from fluxgrid.errors import DegenerateSpectrumError, TooSmallGridError
-from fluxgrid.spectral import (SpectrumProfile, _annuli, _annulus_table, ralsd_pair,
-                               ralsd_upsampled_pair)
+from fluxgrid.spectral import (SpectrumProfile, _annuli, _annulus_table, _profile,
+                               ralsd_pair, ralsd_upsampled_pair)
 
 
 def grid(values, dx=1.0, dy=1.0):
@@ -189,6 +189,29 @@ def test_ralsd_in_place_fft_matches_rfft2_bitwise(shape, window):
     np.testing.assert_array_equal(got.k_bins, want.k_bins)
 
 
+@pytest.mark.parametrize("shape", [(48, 48), (37, 50)])
+@pytest.mark.parametrize("value", [7.0, 288.15, 0.1])
+def test_a_tapered_constant_grid_is_degenerate(shape, value):
+    # the check is on the values: untapered, a constant 37x50 grid of 0.1 has
+    # rounding power off DC and fits a slope
+    g = grid(np.full(shape, value))
+    with pytest.raises(DegenerateSpectrumError, match="^zero power off DC"):
+        ralsd(g, window=True)
+
+
+@pytest.mark.parametrize("shape, rows", [((64, 48), 64), ((64, 48), 5), ((37, 50), 7),
+                                         ((37, 50), 1)])
+def test_profile_does_not_depend_on_the_row_blocks(shape, rows):
+    g = grid(np.random.default_rng(shape[0] * rows).normal(size=shape))
+    f_hat = np.fft.rfft2(g.values)
+    whole = _profile([f_hat.copy()], *shape, None, None)
+    got = _profile([f_hat[i:i + rows].copy() for i in range(0, shape[0], rows)], *shape,
+                   None, None)
+    np.testing.assert_array_equal(got.psi, whole.psi)
+    assert (got.alpha, got.intercept, got.fit_lo, got.fit_hi) == (
+        whole.alpha, whole.intercept, whole.fit_lo, whole.fit_hi)
+
+
 def test_ralsd_on_alternating_shapes_keeps_each_table():
     grids = [grid(np.random.default_rng(n).normal(size=shape))
              for n, shape in enumerate([(64, 64), (37, 50)])]
@@ -256,12 +279,14 @@ class TestRalsdUpsampledPair:
             np.testing.assert_array_equal(g.psi, w.psi)
             assert (g.alpha, g.intercept) == (w.alpha, w.intercept)
 
+    @pytest.mark.parametrize("window", [False, True])
     @pytest.mark.parametrize("scale", [3, 4, 5])
-    def test_a_constant_reference_is_degenerate_at_every_scale(self, scale):
+    def test_a_constant_reference_is_degenerate_at_every_scale(self, scale, window):
+        # tapered, a constant would carry the taper's own slope
         pair = upsampled_pair((16 * scale, 16 * scale), (scale, scale), 0)
         pair.coarse = grid(np.full((16, 16), 288.15))
         with pytest.raises(DegenerateSpectrumError, match="^ref grid: zero power"):
-            ralsd_upsampled_pair(pair)
+            ralsd_upsampled_pair(pair, window=window)
 
     def test_a_constant_prediction_names_pred(self):
         pair = upsampled_pair((32, 32), (4, 4), 0)

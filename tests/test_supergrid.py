@@ -359,13 +359,14 @@ class TestBands:
             assert np.array_equal(banded.adjoint(), whole.adjoint())
         assert banded._lines[0].t.shape == whole._lines[0].t.shape
 
-    def test_pde_loss_peak_memory(self):
+    @pytest.mark.parametrize("anomaly", [False, True])
+    def test_pde_loss_peak_memory(self, anomaly):
         # 512^2 with 4x4 fine cells: the band scratch, not full-size line arrays
         fine = grid(np.random.default_rng(94).normal(size=(512, 512)))
         pair = make_pair(fine, 4, 4)
         tracemalloc.start()
         try:
-            pde_loss(pair, fine, cell_override=(1, 1))
+            pde_loss(pair, fine, cell_override=(1, 1), anomaly=anomaly)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
