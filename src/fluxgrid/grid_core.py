@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
+BLOCK_ELEMS = 1 << 15  # float64 elements of one working array of a blocked walk: 256 KB
+
 
 @dataclass
 class Grid2D:
@@ -175,20 +177,18 @@ def _upsampled_dft(vals, scale, half, rows):
         yield block
 
 
-RFFT_ROWS = 32  # rows per block of upsampled_rfft2: a block of a 1024-wide grid is 260 KB
-
-
 def upsampled_rfft2(coarse, scale_y, scale_x):
     """rfft2(upsample_quadratic(coarse, scale_y, scale_x).values), yielded in
-    blocks of RFFT_ROWS rows, from the coarse grid's own DFT: the upsampled
-    field is never built. The coarse grid is taken less its first value, which is
-    added back at DC, so that a constant grid gives exactly 0 off DC."""
-    if scale_y < 1 or scale_x < 1:
-        raise ValueError(f"scales must be >= 1, got ({scale_y}, {scale_x})")
-    offset = coarse.values[0, 0]
+    blocks of as many rows as fit in BLOCK_ELEMS float64 elements, from the
+    coarse grid's own DFT: the upsampled field is never built. The coarse grid is
+    taken less its first value, which is added back at DC, so that a constant
+    grid gives exactly 0 off DC."""
+    check_scales(coarse.height * scale_y, coarse.width * scale_x, scale_y, scale_x)
+    offset, width = coarse.values[0, 0], coarse.width * scale_x
     # x first, in one block: the rfft of each row of the grid upsampled along x
-    (along_x,) = _upsampled_dft((coarse.values - offset).T, scale_x, True, coarse.width * scale_x)
-    blocks = _upsampled_dft(along_x.T, scale_y, False, RFFT_ROWS)
+    (along_x,) = _upsampled_dft((coarse.values - offset).T, scale_x, True, width)
+    rows = max(1, BLOCK_ELEMS // (2 * (width // 2 + 1)))  # a complex value is 2 float64s
+    blocks = _upsampled_dft(along_x.T, scale_y, False, rows)
     first = next(blocks)
     first[0, 0] += offset * coarse.height * scale_y * coarse.width * scale_x
     yield first
@@ -209,8 +209,7 @@ def upsample_quadratic(coarse, scale_y, scale_x):
 
     Exact on polynomials of degree <= 2 per axis; identity at scale 1.
     """
-    if scale_y < 1 or scale_x < 1:
-        raise ValueError(f"scales must be >= 1, got ({scale_y}, {scale_x})")
+    check_scales(coarse.height * scale_y, coarse.width * scale_x, scale_y, scale_x)
     vals = _upsample_axis(_upsample_axis(coarse.values, scale_x, 1), scale_y, 0)
     return Grid2D(coarse.height * scale_y, coarse.width * scale_x,
                   coarse.dx / scale_x, coarse.dy / scale_y, vals)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid_core
 from .errors import DegenerateVarianceError, DimensionMismatchError
 
 
@@ -24,23 +25,20 @@ class MetricReport:
     l_spec: float | None = None
 
 
-BLOCK = 1 << 15  # pixels per block of _sums: 256 KB per array, so its arrays stay in cache
-
-
 def _dot(a, b):
     return float(np.einsum("i,i", a, b))  # not np.dot: BLAS may start threads
 
 
-def _sums(pred, truth, centred=True):
-    """[rmse, bias, the sum of squared errors and, if centred, the dots (p.p,
-    t.t, p.t) of the mean-removed fields, else None], over blocks of BLOCK
-    pixels in two passes: the raw sums with min and max, then the centred
-    dots. p.p or t.t is 0 for a constant field (max == min)."""
+def _sums(pred, truth):
+    """[rmse, bias, the sum of squared errors, the dots (p.p, t.t, p.t) of the
+    mean-removed fields], over blocks of grid_core.BLOCK_ELEMS pixels in two
+    passes: the raw sums with min and max, then the centred dots. p.p or t.t
+    is 0 for a constant field (max == min)."""
     if (pred.height, pred.width) != (truth.height, truth.width):
         raise DimensionMismatchError(
             f"pred is {pred.height}x{pred.width}, truth is {truth.height}x{truth.width}")
-    pv, tv = pred.values.ravel(), truth.values.ravel()
-    blocks = [(pv[a:a + BLOCK], tv[a:a + BLOCK]) for a in range(0, pv.size, BLOCK)]
+    pv, tv, block = pred.values.ravel(), truth.values.ravel(), grid_core.BLOCK_ELEMS
+    blocks = [(pv[a:a + block], tv[a:a + block]) for a in range(0, pv.size, block)]
     buf = np.empty((2, blocks[0][0].size))
     ss_res = s_diff = s_p = s_t = 0.0
     lo_p = hi_p = pv[0]
@@ -49,21 +47,18 @@ def _sums(pred, truth, centred=True):
         diff = np.subtract(p, t, out=buf[0, :p.size])
         ss_res += _dot(diff, diff)
         s_diff += float(diff.sum())
-        if centred:
-            s_p, s_t = s_p + float(p.sum()), s_t + float(t.sum())
-            lo_p, hi_p = min(lo_p, p.min()), max(hi_p, p.max())
-            lo_t, hi_t = min(lo_t, t.min()), max(hi_t, t.max())
-    sums = [float(np.sqrt(ss_res / pv.size)), s_diff / pv.size, ss_res, None]
-    if centred:
-        mean_p, mean_t = s_p / pv.size, s_t / pv.size
-        pp = tt = pt = 0.0
-        for p, t in blocks:
-            pc = np.subtract(p, mean_p, out=buf[0, :p.size])
-            tc = np.subtract(t, mean_t, out=buf[1, :t.size])
-            pp, tt, pt = pp + _dot(pc, pc), tt + _dot(tc, tc), pt + _dot(pc, tc)
-        # a constant field's mean may be inexact, leaving rounding noise in its dots
-        sums[3] = (pp if hi_p > lo_p else 0.0, tt if hi_t > lo_t else 0.0, pt)
-    return sums
+        s_p, s_t = s_p + float(p.sum()), s_t + float(t.sum())
+        lo_p, hi_p = min(lo_p, p.min()), max(hi_p, p.max())
+        lo_t, hi_t = min(lo_t, t.min()), max(hi_t, t.max())
+    mean_p, mean_t = s_p / pv.size, s_t / pv.size
+    pp = tt = pt = 0.0
+    for p, t in blocks:
+        pc = np.subtract(p, mean_p, out=buf[0, :p.size])
+        tc = np.subtract(t, mean_t, out=buf[1, :t.size])
+        pp, tt, pt = pp + _dot(pc, pc), tt + _dot(tc, tc), pt + _dot(pc, tc)
+    # a constant field's mean may be inexact, leaving rounding noise in its dots
+    return [float(np.sqrt(ss_res / pv.size)), s_diff / pv.size, ss_res,
+            (pp if hi_p > lo_p else 0.0, tt if hi_t > lo_t else 0.0, pt)]
 
 
 def _r_squared(ss_res, ss_tot):
@@ -82,12 +77,12 @@ def _pearson(pp, tt, pt):
 
 def rmse(pred, truth):
     """Root mean squared pixel error."""
-    return _sums(pred, truth, centred=False)[0]
+    return _sums(pred, truth)[0]
 
 
 def bias(pred, truth):
     """Mean signed pixel error."""
-    return _sums(pred, truth, centred=False)[1]
+    return _sums(pred, truth)[1]
 
 
 def r_squared(pred, truth):

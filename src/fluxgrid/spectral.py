@@ -13,8 +13,8 @@ It takes that rfft2 as an rfft along the rows and then an FFT down the
 columns in place (out=, numpy >= 2.0): bitwise the same, in one complex array.
 Every profile comes from one power step, _profile, fed a half-spectrum in row
 blocks: ralsd's as one block, and ralsd_upsampled_pair's upsampled coarse
-reference's block by block from grid_core.upsampled_rfft2. Under a Hann taper
-a constant field would fit the taper's own slope, so it raises instead.
+reference's block by block from grid_core.upsampled_rfft2. ralsd raises on a
+constant field: its spectrum is the Hann taper's, or untapered rounding noise.
 """
 
 import functools
@@ -169,10 +169,11 @@ def ralsd(grid, fit_lo=None, fit_hi=None, window=False):
 
     The profile is radial_profile(power_spectrum_2d(grid, window)), binned
     from the real half-spectrum (rfft2, taken in place) with mirrored-column
-    weights. Under window a constant grid raises: its spectrum is the taper's.
+    weights. A constant grid raises: its spectrum is the taper's under window,
+    and untapered its FFT may leave rounding noise off DC.
     """
     values = _spectrum_input(grid, window)
-    if window and np.ptp(grid.values) == 0:
+    if np.ptp(grid.values) == 0:
         raise DegenerateSpectrumError("zero power off DC: the grid is constant")
     f_hat = np.fft.rfft(values, axis=1)  # rfft2, in one array
     np.fft.fft(f_hat, axis=0, out=f_hat)

@@ -17,13 +17,14 @@ Per-cell sums add up each cell's stretch of its lines.
 
 One private kernel, _fluxes, walks the grid once, in bands of cell rows. A
 band's line quantities (t, the two derivatives, |grad T| and u) live in
-per-axis scratch of about BAND_ELEMS elements per array, the column lines
-with one halo row either side so that the derivative along them keeps its
-centred stencil. A band holds whole cells, so it finishes them: it takes
-(with anomaly) each cell's boundary mean of T from its own line sums and
-subtracts it from its t in place, then writes its cell rows of the fluxes.
-The sums of t * u take the product inside their einsum, so cell_fluxes and
-pde_loss keep no line arrays. Scratch that spans the grid holds it as one band, and that is how a
+per-axis scratch of about grid_core.BLOCK_ELEMS elements per array, the cache
+budget of every blocked walk; the column lines take one halo row either side
+so that the derivative along them keeps its centred stencil. A band holds
+whole cells, so it finishes them: it takes (with anomaly) each cell's
+boundary mean of T from its own line sums and subtracts it from its t in
+place, then writes its cell rows of the fluxes. The sums of t * u take the
+product inside their einsum, so cell_fluxes and pde_loss keep no line arrays.
+Scratch that spans the grid holds it as one band, and that is how a
 FluxRatioLoss keeps the lines its adjoint needs: its first adjoint call swaps
 the scratch for whole lines. The adjoint back-propagates on them and adds
 into the rows and columns the stencils read (findiff.line_gradient_adjoint),
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid_core
 from .errors import DimensionMismatchError
 from .findiff import (DEFAULT_EPS, check_gradient_input, check_stabilizer,
                       line_gradient, line_gradient_adjoint)
@@ -108,9 +110,6 @@ def build_partition(grid, cell_h, cell_w):
     return SupergridPartition(cell_h, cell_w, height // cell_h, width // cell_w)
 
 
-BAND_ELEMS = 1 << 15  # about the elements of one band-scratch array of the forward pass
-
-
 @dataclass
 class _EdgeLines:
     """The first and last line of every cell along one axis, with arrays for
@@ -140,11 +139,11 @@ class _EdgeLines:
 
 def _line_tables(part, band=None):
     """The _EdgeLines of part along each axis, with arrays for bands of band
-    cell rows: by default as many as fit in about BAND_ELEMS elements per
-    array, the column lines with a halo row either side."""
+    cell rows: by default as many as fit in about grid_core.BLOCK_ELEMS elements
+    per array, the column lines with a halo row either side."""
     n_cols, cell_h = part.n_cols, part.cell_h
     if band is None:
-        band = max(1, BAND_ELEMS // (2 * n_cols * max(part.cell_w, cell_h)))
+        band = max(1, grid_core.BLOCK_ELEMS // (2 * n_cols * max(part.cell_w, cell_h)))
     band = min(band, part.n_rows)
     halo = 2 if band < part.n_rows else 0
     return [_EdgeLines(axis, (np.arange(n)[:, None] * cell + [0, cell - 1]).ravel(), cell_len,

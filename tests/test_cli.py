@@ -703,7 +703,8 @@ class TestNonFiniteOptions:
         (["advdiff", "--dt", "nan"], "dt must be finite and > 0, got nan"),
         (["advdiff", "--D", "nan"], "diffusivity must be finite and >= 0, got nan"),
         (["advdiff", "--ux", "nan"], "u_x and u_y must be finite, got nan, 0.0"),
-        (["advdiff", "--uy", "inf"], "u_x and u_y must be finite, got 0.0, inf")])
+        (["advdiff", "--uy", "inf"], "u_x and u_y must be finite, got 0.0, inf"),
+        (["advdiff", "--steps", "-1"], "steps must be >= 0, got -1")])
     def test_synth(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x.fgrd"
         assert main(["synth", argv[0], "--h", "16", "--w", "16", *argv[1:],
@@ -760,10 +761,21 @@ class TestRalsd:
         assert (tmp_path / "trace.csv").stat().st_size > 0
         assert (tmp_path / "profile.txt").stat().st_size > 0
 
-    def test_constant_grid_exit_4(self, tmp_path):
+    def test_constant_grid_exit_4(self, tmp_path, capsys):
+        # at 37x50 the FFT of a constant leaves rounding power off DC
         const = tmp_path / "const.csv"
-        const.write_text("\n".join(",".join(["2.0"] * 32) for _ in range(32)) + "\n")
-        assert main(["ralsd", str(const)]) == 4
+        for h, w, value in ((32, 32, "2.0"), (37, 50, "0.1")):
+            const.write_text("\n".join(",".join([value] * w) for _ in range(h)) + "\n")
+            assert main(["ralsd", str(const)]) == 4
+            assert capsys.readouterr().err == "error: zero power off DC: the grid is constant\n"
+
+    def test_too_few_default_fit_bins_exit_4(self, tmp_path, capsys):
+        # 12 wide, no bin lies between 4 cycles per domain and 0.25 cycles per pixel
+        small = tmp_path / "small.csv"
+        write_csv(Grid2D.from_values(np.random.default_rng(0).normal(size=(12, 12))), small)
+        assert main(["ralsd", str(small)]) == 4
+        assert capsys.readouterr().err == (
+            "error: only 0 bins in the default fit range; need at least 4\n")
 
     def test_non_utf8_csv_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -141,7 +141,8 @@ class TestUpsampledRfft2:
     def test_blocks_of_any_rows_make_the_same_spectrum(self, monkeypatch, rows):
         c = grid(np.random.default_rng(rows).normal(size=(7, 5)))
         want = np.concatenate(list(upsampled_rfft2(c, 3, 4)))
-        monkeypatch.setattr(grid_core, "RFFT_ROWS", rows)
+        # a 20-wide grid's half-spectrum rows hold 11 complex values, 22 float64s
+        monkeypatch.setattr(grid_core, "BLOCK_ELEMS", rows * 2 * (20 // 2 + 1))
         blocks = list(upsampled_rfft2(c, 3, 4))
         assert all(len(b) == rows for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= rows
         np.testing.assert_allclose(np.concatenate(blocks), want, rtol=0, atol=1e-12)
@@ -160,6 +161,8 @@ class TestUpsampledRfft2:
     def test_bad_scales_raise(self):
         with pytest.raises(ValueError, match="scales"):
             next(upsampled_rfft2(grid(np.zeros((3, 3))), 0, 2))
+        with pytest.raises(ValueError, match=r"scales must be >= 1, got \(2, -1\)"):
+            upsample_quadratic(grid(np.zeros((3, 3))), 2, -1)
 
 
 class TestMakePair:
@@ -201,11 +204,23 @@ class TestGridPairSpacing:
             assert pair.coarse.values.tobytes() == block.tobytes()
             assert pair.fine is fine and (pair.scale_y, pair.scale_x) == scales
 
+    def test_scales_that_do_not_map_coarse_onto_fine_raise(self):
+        coarse, fine = grid(np.zeros((6, 4))), grid(np.zeros((12, 12)))
+        with pytest.raises(DimensionMismatchError, match=r"times scales \(2, 2\)"):
+            GridPair(coarse, fine, 2, 2)
+
 
 class TestGrid2D:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Grid2D(2, 3, 1.0, 1.0, np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatchError, match="expected a 2-D array, got ndim=1"):
+            Grid2D.from_values(np.zeros(4))
+
+    @pytest.mark.parametrize("dims", [(0, 3), (3, 0), (-1, 2)])
+    def test_dims_must_be_positive(self, dims):
+        with pytest.raises(ValueError, match="grid dims must be positive"):
+            Grid2D(*dims, 1.0, 1.0, np.zeros((1, 1)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

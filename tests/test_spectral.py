@@ -60,6 +60,11 @@ class TestRadialProfile:
         assert np.all(np.diff(prof.k_bins) > 0)
         assert np.all(prof.counts >= 1)
 
+    def test_psd_of_other_dims_raises(self):
+        psd = power_spectrum_2d(grid(np.zeros((16, 16))))
+        with pytest.raises(ValueError, match=r"psd shape \(16, 16\) does not match \(16, 8\)"):
+            radial_profile(psd, 16, 8)
+
     def test_isotropic_input_recovered(self):
         h = w = 64
         fy = np.fft.fftfreq(h)[:, None]
@@ -150,6 +155,11 @@ class TestSpectralLoss:
         with pytest.raises(DegenerateSpectrumError, match="ref"):
             spectral_loss(g, const)
 
+    def test_grids_of_other_dims_raise(self):
+        a, b = gen_grf(GrfSpec(32, 32, -2.0, 1)), gen_grf(GrfSpec(32, 48, -2.0, 1))
+        with pytest.raises(ValueError, match="pred is 32x32, ref is 32x48"):
+            ralsd_pair(a, b)
+
 
 def test_default_fit_range_bounds():
     g = gen_grf(GrfSpec(128, 128, -2.0, 0))
@@ -197,6 +207,15 @@ def test_a_tapered_constant_grid_is_degenerate(shape, value):
     g = grid(np.full(shape, value))
     with pytest.raises(DegenerateSpectrumError, match="^zero power off DC"):
         ralsd(g, window=True)
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (37, 50)])
+@pytest.mark.parametrize("value", [7.0, 288.15, 0.1])
+def test_an_untapered_constant_grid_is_degenerate(shape, value):
+    # its FFT leaves rounding power off DC at 37x50, which a fit would take for a slope
+    g = grid(np.full(shape, value))
+    with pytest.raises(DegenerateSpectrumError, match="^zero power off DC"):
+        ralsd(g)
 
 
 @pytest.mark.parametrize("shape, rows", [((64, 48), 64), ((64, 48), 5), ((37, 50), 7),

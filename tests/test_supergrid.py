@@ -7,7 +7,7 @@ from fluxgrid import (AdvDiffSpec, Grid2D, GridPair, RefineConfig, build_partiti
                       cell_fluxes, choose_supergrid, coarsen_block_mean, gen_grf, GrfSpec,
                       make_pair, pde_loss, refine, step_advdiff, upsample_quadratic)
 from fluxgrid.errors import DimensionMismatchError
-from fluxgrid import supergrid
+from fluxgrid import grid_core, supergrid
 from fluxgrid.supergrid import FluxRatioLoss
 
 from oracle import oracle_cell_fluxes, oracle_pde_loss
@@ -26,6 +26,11 @@ class TestChooseSupergrid:
 
     def test_coprime_single_cell(self):
         assert choose_supergrid(7, 5) == (7, 5)
+
+    @pytest.mark.parametrize("dims", [(0, 4), (4, 0)])
+    def test_dims_must_be_positive(self, dims):
+        with pytest.raises(ValueError, match="grid dims must be positive"):
+            choose_supergrid(*dims)
 
 
 def assert_matches_oracle(shape, cell, seed):
@@ -68,6 +73,11 @@ class TestBuildPartition:
             build_partition(grid(np.zeros((5, 4))), 2, 2)
         with pytest.raises(DimensionMismatchError, match="width"):
             build_partition(grid(np.zeros((4, 5))), 2, 2)
+
+    @pytest.mark.parametrize("cell", [(0, 2), (2, 0)])
+    def test_cell_dims_must_be_positive(self, cell):
+        with pytest.raises(ValueError, match=r"cell dims must be positive"):
+            build_partition(grid(np.zeros((4, 4))), *cell)
 
 
 class TestCellFluxes:
@@ -306,7 +316,7 @@ class TestBands:
         g = grid(vals, dx=0.7, dy=1.3)
         part = build_partition(g, *cell)
         want = {a: cell_fluxes(g, part, eps=1e-6, anomaly=a) for a in (False, True)}
-        monkeypatch.setattr(supergrid, "BAND_ELEMS", rows * 2 * part.n_cols * max(cell))
+        monkeypatch.setattr(grid_core, "BLOCK_ELEMS", rows * 2 * part.n_cols * max(cell))
         assert len(supergrid._line_tables(part)[0].t) == 2 * rows
         for anomaly in (False, True):
             rep = cell_fluxes(g, part, eps=1e-6, anomaly=anomaly)
@@ -328,7 +338,7 @@ class TestBands:
         pair = GridPair(make_pair(grid(rng.normal(size=shape), dx=0.6, dy=1.7),
                                   *scales).coarse, fine, *scales)
         want = pde_loss(pair, fine, cell_override=cell, anomaly=anomaly)
-        monkeypatch.setattr(supergrid, "BAND_ELEMS", 1)  # one cell row per band
+        monkeypatch.setattr(grid_core, "BLOCK_ELEMS", 1)  # one cell row per band
         got = pde_loss(pair, fine, cell_override=cell, anomaly=anomaly)
         loss = FluxRatioLoss(pair, cell_override=cell, anomaly=anomaly)
         for res in (got, loss.forward(fine)):
@@ -351,7 +361,7 @@ class TestBands:
         pair = make_pair(grid(rng.normal(size=shape), dx=0.6, dy=1.7), *scales)
         pair = GridPair(pair.coarse, fields[0], *scales)
         whole = FluxRatioLoss(pair, cell_override=cell)
-        monkeypatch.setattr(supergrid, "BAND_ELEMS", 1)
+        monkeypatch.setattr(grid_core, "BLOCK_ELEMS", 1)
         banded = FluxRatioLoss(pair, cell_override=cell)
         for fine in fields:
             want = whole.forward(fine)
