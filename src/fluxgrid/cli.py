@@ -8,7 +8,6 @@ import argparse
 import gc
 import os
 import pickle
-import signal
 import sys
 import threading
 import time
@@ -103,6 +102,7 @@ def _load_grids(pred_path, truth_path, coarse_path):
     worker fails or cannot fork, truth is loaded here: the serial error wins."""
     if not str(truth_path).endswith(".csv"):
         return [_load_grid(path) for path in (pred_path, truth_path, coarse_path)]
+    import signal  # here, as hashlib in _sha256: only a CSV truth's worker needs it killed
     read_fd, write_fd = os.pipe()
     try:
         # Python >= 3.12 warns at a fork beside threads (OpenBLAS's). The child

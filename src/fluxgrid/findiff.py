@@ -5,7 +5,8 @@ columns fall back to first-order one-sided differences (regional tiles
 are not periodic). The unit vector is stabilized by a small epsilon in
 the denominator so it stays finite where the gradient vanishes.
 line_gradient takes the same derivatives on chosen rows or columns only,
-and line_gradient_adjoint back-propagates through them.
+and edge_lines_adjoint back-propagates through them where they are the
+first and last lines of equal cells.
 """
 
 from dataclasses import dataclass
@@ -71,16 +72,6 @@ def _neighbours(lines, n):
     return np.maximum(lines - 1, 0), np.minimum(lines + 1, n - 1)
 
 
-def _add_lines(acc, lines, axis, vals):
-    """Add vals into the lines of acc indexed along axis, summing over
-    repeated lines."""
-    acc, vals = np.moveaxis(acc, axis, 0), np.moveaxis(vals, axis, 0)
-    if len(set(lines.tolist())) < len(lines):  # np.unique would import numpy.ma
-        np.add.at(acc, lines, vals)
-    else:
-        acc[lines] += vals
-
-
 def line_gradient(a, lines, axis, d_along, d_normal, out=(None, None, None)):
     """Some lines of a 2-D array and its derivatives along and across them.
 
@@ -99,17 +90,30 @@ def line_gradient(a, lines, axis, d_along, d_normal, out=(None, None, None)):
     return t, _diff_axis(t, d_along, 1 - axis, out[1]), g_normal
 
 
-def line_gradient_adjoint(acc, lines, axis, g_t, g_along, g_normal, d_along, d_normal):
+def edge_lines_adjoint(acc, lines, axis, g_t, g_along, g_normal, d_along, d_normal):
     """Add to acc the gradient with respect to a of a function of
     line_gradient(a, lines, axis, d_along, d_normal), given its gradients
-    (g_t, g_along, g_normal) with respect to the three outputs. g_t is
-    overwritten."""
+    (g_t, g_along, g_normal) with respect to the three outputs, where lines are
+    each cell's first and last line, cell by cell, of cells lines[1] + 1 long
+    along axis. g_t is overwritten. The line before a cell's first line is the
+    last line of the cell before, and the one after its last line the first of
+    the cell after, so g_t takes their terms and those of any neighbour clipped
+    onto its own line at the border; g_t and the two other neighbours then add
+    into acc through strided views, one cell apart."""
     _diff_axis_adjoint(g_along, d_along, 1 - axis, g_t)
     lo, hi = _neighbours(lines, acc.shape[axis])
     g = g_normal / np.expand_dims((hi - lo) * d_normal, 1 - axis)
-    _add_lines(acc, lines, axis, g_t)
-    _add_lines(acc, hi, axis, g)
-    _add_lines(acc, lo, axis, np.negative(g, out=g))
+    acc, g_t, g = (x.T if axis else x for x in (acc, g_t, g))  # lines along axis 0
+    cell, n = lines[1] + 1, len(lines) // 2
+    np.subtract(g_t, g, out=g_t, where=(lo == lines)[:, None])
+    np.add(g_t, g, out=g_t, where=(hi == lines)[:, None])
+    g_t[1:-1:2] -= g[2::2]
+    g_t[2::2] += g[1:-1:2]
+    for k, v, op in ((0, g_t[0::2], np.add), (cell - 1, g_t[1::2], np.add),
+                     (1, g[0::2], np.add), (cell - 2, g[1::2], np.subtract)):
+        j0, j1 = int(k < 0), n - int(k == cell)  # the lines k + j * cell inside acc
+        view = acc[k + j0 * cell::cell][:j1 - j0]
+        op(view, v[j0:j1], out=view)
 
 
 def gradient_central(grid, eps=DEFAULT_EPS):

@@ -27,13 +27,10 @@ product inside their einsum, so cell_fluxes and pde_loss keep no line arrays.
 Scratch that spans the grid holds it as one band, and that is how a
 FluxRatioLoss keeps the lines its adjoint needs: its first adjoint call swaps
 the scratch for whole lines. The adjoint back-propagates on them and adds
-into the rows and columns the stencils read (findiff.line_gradient_adjoint),
-so a pixel two or more pixels away from every edge line never enters. The
-column lines add into a (W, H) accumulator, which is added into the gradient
-transposed. When H is a multiple of 16 its rows are padded to an odd number
-of 64-byte lines: a row stride of a multiple of 128 bytes (4 KB at H = 512)
-maps each column of the transposed walk to one cache set, and the add took
-twice as long.
+into the rows and columns the stencils read (findiff.edge_lines_adjoint):
+each cell's first and last line and their neighbours recur one cell apart,
+so they add straight into the gradient through strided views, and a pixel
+two or more pixels away from every edge line never enters.
 """
 
 import math
@@ -44,7 +41,7 @@ import numpy as np
 from . import grid_core
 from .errors import DimensionMismatchError
 from .findiff import (DEFAULT_EPS, check_gradient_input, check_stabilizer,
-                      line_gradient, line_gradient_adjoint)
+                      edge_lines_adjoint, line_gradient)
 
 
 @dataclass
@@ -275,8 +272,7 @@ class FluxRatioLoss:
     by running the last forward pass again, and from then on every forward
     call keeps its lines; adjoint back-propagates the last forward call on
     those lines instead of running another forward pass, is zero off the
-    lines' stencils and can add into an array. The rows of its column
-    accumulator are padded so that adding it in transposed does not alias.
+    lines' stencils and can add into an array, straight through strided views.
     """
 
     def __init__(self, pair, eps=DEFAULT_EPS, cell_override=None, ratio_eps=None,
@@ -293,7 +289,6 @@ class FluxRatioLoss:
         self._dims = (pair.fine.height, pair.fine.width)
         self._lines = _line_tables(self.part_f)  # filled by each forward call
         self._rep = None  # the last forward call's fine report
-        self._cols = None  # the adjoint's columns as rows, from its first call
 
     def forward(self, fine):
         """PdeLossResult of a field of the pair's fine dims, checked before any line
@@ -310,7 +305,9 @@ class FluxRatioLoss:
 
     def adjoint(self, out=None, scale=1.0):
         """Gradient of the last forward call's loss with respect to its field. scale
-        times it is added into out (a new zero array by default), and out returned."""
+        times it is added into out (a new zero array by default), and out returned:
+        each axis's edge lines and their neighbours through strided views of out's
+        rows or columns one cell apart, with no accumulator."""
         if self.anomaly:
             raise ValueError("the adjoint is implemented for anomaly=False only")
         part, rep = self.part_f, self._rep
@@ -319,13 +316,9 @@ class FluxRatioLoss:
         shape = self._dims
         if out is not None and out.shape != shape:
             raise DimensionMismatchError(f"out has shape {out.shape}, the fine field {shape}")
-        if self._cols is None:  # keep whole lines from now on
-            # rows padded off a multiple of 128 bytes (see the module docstring)
-            h, w = shape
-            self._cols = np.empty((w, h + (8 if h % 16 == 0 else 0)))[:, :h]
-            if len(self._lines[0].t) < 2 * part.n_rows:
-                self._lines = _line_tables(part, part.n_rows)
-                self.forward(self._fine)
+        if len(self._lines[0].t) < 2 * part.n_rows:  # keep whole lines from now on
+            self._lines = _line_tables(part, part.n_rows)
+            self.forward(self._fine)
         lines = self._lines
         denom = rep.phi_diff + self.ratio_eps
         g_r = (2.0 * scale / rep.r_eff.size) * (rep.r_eff - self.coarse_report.r_eff)
@@ -333,9 +326,8 @@ class FluxRatioLoss:
         g_adv = _boundary_mean_adjoint(part, lines, g_r / denom, outward=True)
         g_mag = _boundary_mean_adjoint(part, lines, -g_r * rep.phi_adv / denom ** 2)
 
-        out = np.zeros(self._cols.T.shape) if out is None else out
-        self._cols.fill(0.0)
-        for ln, acc, g_tu, radial in zip(lines, (out, self._cols.T), g_adv, g_mag):
+        out = np.zeros(shape) if out is None else out
+        for ln, g_tu, radial in zip(lines, g_adv, g_mag):
             # back through u = g_normal / (|grad T| + eps) and |grad T|:
             # (g_along, g_normal) gets grad T * radial plus inv * g_u on g_normal,
             # radial = (g_mag - inv * g_u * u) / |grad T|, 0 where |grad T| = 0
@@ -348,7 +340,5 @@ class FluxRatioLoss:
             g_along = np.multiply(ln.g_along, radial, out=inv)
             radial *= ln.g_normal
             radial += g_u
-            line_gradient_adjoint(acc, ln.lines, ln.axis, g_tu, g_along, radial,
-                                  *ln.d)
-        out += self._cols.T
+            edge_lines_adjoint(out, ln.lines, ln.axis, g_tu, g_along, radial, *ln.d)
         return out

@@ -38,6 +38,38 @@ def oracle_gradient(values, dx, dy, eps):
     return gx, gy, mag, ux, uy
 
 
+def oracle_line_gradient_adjoint(acc, lines, axis, g_t, g_along, g_normal, d_along,
+                                 d_normal):
+    """Add into acc (a 2-D array) the transpose of the map from a field a to its
+    lines along axis (rows for 0, columns for 1, in any order and repeated), the
+    derivative along each line (centred inside, one-sided at its two ends) and
+    the one across it (centred inside, one-sided at the grid's border), applied
+    to g_t, g_along and g_normal, each shaped like the lines."""
+    n_across, n_along = acc.shape if axis == 0 else acc.shape[::-1]
+
+    def add(line, q, value):  # into pixel q of line
+        if axis == 0:
+            acc[line, q] += value
+        else:
+            acc[q, line] += value
+
+    for p, line in enumerate(lines):
+        lo, hi = max(line - 1, 0), min(line + 1, n_across - 1)
+        for q in range(n_along):
+            at = (p, q) if axis == 0 else (q, p)
+            add(line, q, g_t[at])
+            if q == 0:
+                a, b, step = 1, 0, d_along
+            elif q == n_along - 1:
+                a, b, step = q, q - 1, d_along
+            else:
+                a, b, step = q + 1, q - 1, 2.0 * d_along
+            add(line, a, g_along[at] / step)
+            add(line, b, -g_along[at] / step)
+            add(hi, q, g_normal[at] / ((hi - lo) * d_normal))
+            add(lo, q, -g_normal[at] / ((hi - lo) * d_normal))
+
+
 def perimeter_sites(i0, j0, cell_h, cell_w):
     """Boundary walk of one cell: top l-to-r, bottom l-to-r, left
     t-to-b, right t-to-b; corners once per incident edge."""

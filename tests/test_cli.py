@@ -805,13 +805,14 @@ def test_numpy_is_the_only_runtime_dependency(tmp_path):
     """metrics and refine, run in a fresh process, import nothing after numpy
     but the standard library, numpy and fluxgrid, and never numpy.ma (13-15 ms
     to import). hashlib (it loads OpenSSL) and json are left to metrics, the
-    one command that uses them: the import and refine load neither."""
+    one command that uses them, and signal to a CSV truth's worker: the import
+    and refine load none of them."""
     fp, cp = write_pair(tmp_path, h=64, w=64, scale=4)
     metrics = ["metrics", str(fp), str(fp), str(cp), "--out", str(tmp_path / "r.json")]
     refine = ["refine", str(fp), str(cp), "--iters", "3", "--out", str(tmp_path / "o.fgrd")]
     child = "\n".join([
         "import sys", "import numpy", "before = set(sys.modules)",
-        "late = lambda: [m for m in ('hashlib', 'json') if m in sys.modules]",
+        "late = lambda: [m for m in ('hashlib', 'json', 'signal') if m in sys.modules]",
         "from fluxgrid.cli import main", "late_import = late()",
         f"codes = [main({refine!r})]", "late_refine = late()",
         f"codes.append(main({metrics!r}))", "import json",

@@ -3,9 +3,9 @@ import pytest
 
 from fluxgrid import Grid2D, gen_affine, gradient_central
 from fluxgrid.errors import TooSmallGridError
-from fluxgrid.findiff import line_gradient, line_gradient_adjoint
+from fluxgrid.findiff import edge_lines_adjoint, line_gradient
 
-from oracle import oracle_gradient
+from oracle import oracle_gradient, oracle_line_gradient_adjoint
 
 
 def grid(values, dx=1.0, dy=1.0):
@@ -128,12 +128,35 @@ def test_line_gradient_bitwise_equals_gradient_central():
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("lines", [LINES, np.arange(7), np.repeat(np.arange(7), 2)])
 def test_line_gradient_adjoint_is_transpose(axis, lines):
-    # <J v, w> = <v, J^T w> for the linear map J: a -> line_gradient(a)
+    # <J v, w> = <v, J^T w> for the linear map J: a -> line_gradient(a), with the
+    # loop oracle's J^T, which serves as the reference for edge_lines_adjoint
     rng = np.random.default_rng(18)
     v = rng.normal(size=(7, 7))
     outputs = line_gradient(v, lines, axis, 0.6, 1.7)
     w = [rng.normal(size=x.shape) for x in outputs]
     acc = np.zeros((7, 7))
-    line_gradient_adjoint(acc, lines, axis, w[0].copy(), w[1], w[2], 0.6, 1.7)
+    oracle_line_gradient_adjoint(acc, lines, axis, w[0], w[1], w[2], 0.6, 1.7)
     lhs = sum(float(np.sum(x * y)) for x, y in zip(outputs, w))
     assert float(np.sum(v * acc)) == pytest.approx(lhs, rel=1e-12)
+
+
+def edge_lines(n, cell):
+    """Each of n cells' first and last line, cell by cell, as supergrid lists them."""
+    return (np.arange(n)[:, None] * cell + [0, cell - 1]).ravel()
+
+
+# cells 1, 2, 3, 5 and 16 pixels long; one cell spanning the grid; a side of 2 pixels
+@pytest.mark.parametrize("n, cell, other", [
+    (7, 1, 5), (4, 2, 6), (5, 3, 4), (3, 5, 7), (3, 16, 5), (1, 9, 3), (1, 2, 2), (2, 1, 3)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_edge_lines_adjoint_matches_the_loop_oracle(axis, n, cell, other):
+    rng = np.random.default_rng(19)
+    lines = edge_lines(n, cell)
+    shape = (n * cell, other) if axis == 0 else (other, n * cell)
+    outputs = line_gradient(rng.normal(size=shape), lines, axis, 0.6, 1.7)
+    w = [rng.normal(size=x.shape) for x in outputs]
+    want = rng.normal(size=shape)
+    acc = want.copy()
+    oracle_line_gradient_adjoint(want, lines, axis, w[0], w[1], w[2], 0.6, 1.7)
+    edge_lines_adjoint(acc, lines, axis, w[0], w[1], w[2], 0.6, 1.7)
+    np.testing.assert_allclose(acc, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

@@ -126,6 +126,7 @@ class TestGradient:
         ((6, 6), (2, 2), (1, 1)),  # 2x2 fine cells
         ((6, 6), (2, 3), (1, 1)),  # 2x3 fine cells
         ((6, 6), (3, 2), (1, 1)),  # 3x2 fine cells
+        ((12, 15), (3, 5), (1, 1)),  # 3x5 fine cells, four rows and three columns of them
     ])
     def test_analytic_matches_numeric_thin_cells(self, fine_shape, scales, cell):
         rng = np.random.default_rng(60)

@@ -10,7 +10,7 @@ from fluxgrid.errors import DimensionMismatchError
 from fluxgrid import grid_core, supergrid
 from fluxgrid.supergrid import FluxRatioLoss
 
-from oracle import oracle_cell_fluxes, oracle_pde_loss
+from oracle import oracle_cell_fluxes, oracle_line_gradient_adjoint, oracle_pde_loss
 
 
 def grid(values, dx=1.0, dy=1.0):
@@ -262,8 +262,38 @@ class TestAdjointInto:
                                    atol=1e-12 * np.abs(buf0).max())
         # the lines are left as they were: a second plain call agrees bitwise
         assert np.array_equal(loss.adjoint(), plain)
-        if shape[0] % 16 == 0:  # the column rows' stride is an odd number of 64-byte lines
-            assert loss._cols.strides[0] % 128 == 64
+
+    # fine cells (rows x columns) 1x1, 2x2, 3x5 and 5x3 (odd widths), one 6x5 cell
+    # spanning the grid, a 4x2 grid of 2x2 cells (one cell wide), and 16x16 with H a
+    # multiple of 16 or not; the column lines always take the first and last column
+    @pytest.mark.parametrize("shape, scales, cell", [
+        ((5, 7), (1, 1), (1, 1)), ((8, 10), (2, 2), (1, 1)), ((12, 15), (3, 5), (1, 1)),
+        ((15, 9), (5, 3), (1, 1)), ((6, 5), (1, 1), (6, 5)), ((4, 2), (2, 1), (1, 2)),
+        ((64, 64), (4, 4), (4, 4)), ((40, 48), (4, 4), (5, 4)), ((32, 80), (4, 4), (4, 4))])
+    def test_each_axis_matches_the_loop_oracle(self, monkeypatch, shape, scales, cell):
+        rng = np.random.default_rng(84)
+        fine = grid(rng.normal(size=shape), dx=0.6, dy=1.7)
+        pair = GridPair(make_pair(grid(rng.normal(size=shape), dx=0.6, dy=1.7),
+                                  *scales).coarse, fine, *scales)
+        loss = FluxRatioLoss(pair, cell_override=cell, ratio_eps=1e-3)
+        loss.forward(fine)
+        plain, axes = loss.adjoint(), []
+
+        def checked(acc, lines, axis, *grads_and_d):
+            want = np.zeros(acc.shape)
+            oracle_line_gradient_adjoint(want, lines, axis, *grads_and_d)
+            got = np.zeros(acc.shape)
+            edge_lines_adjoint(got, lines, axis, *grads_and_d)
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+            acc += got
+            axes.append(axis)
+
+        edge_lines_adjoint = supergrid.edge_lines_adjoint
+        monkeypatch.setattr(supergrid, "edge_lines_adjoint", checked)
+        got = loss.adjoint()
+        assert axes == [0, 1]
+        np.testing.assert_allclose(got, plain, rtol=1e-12, atol=1e-12 * np.abs(plain).max())
 
     def test_misuse_fails_before_touching_out(self):
         rng = np.random.default_rng(82)
