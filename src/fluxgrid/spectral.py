@@ -129,8 +129,10 @@ def default_fit_range(profile):
 def fit_slope(profile, fit_lo, fit_hi):
     """OLS slope of log10(psi) against log10(k) over bins [fit_lo, fit_hi]."""
     last = len(profile.psi) - 1
-    if not 0 <= fit_lo <= fit_hi <= last:
+    if not (0 <= fit_lo <= last and 0 <= fit_hi <= last):
         raise ValueError(f"fit range [{fit_lo}, {fit_hi}] is not within the bins [0, {last}]")
+    if fit_lo > fit_hi:
+        raise ValueError(f"fit range [{fit_lo}, {fit_hi}] is empty: fit_lo > fit_hi")
     if fit_hi - fit_lo < MIN_FIT_BINS - 1:
         raise ValueError(
             f"fit range [{fit_lo}, {fit_hi}] has fewer than {MIN_FIT_BINS} bins")

@@ -286,17 +286,18 @@ class FluxRatioLoss:
         self.ratio_eps = eps if ratio_eps is None else ratio_eps
         self.anomaly = anomaly
         self.coarse_report = cell_fluxes(coarse, part_c, eps, ratio_eps, anomaly)
-        self._dims = (pair.fine.height, pair.fine.width)
+        self._geometry = (pair.fine.height, pair.fine.width, pair.fine.dx, pair.fine.dy)
         self._lines = _line_tables(self.part_f)  # filled by each forward call
         self._rep = None  # the last forward call's fine report
 
     def forward(self, fine):
-        """PdeLossResult of a field of the pair's fine dims, checked before any line
-        is written; the next call overwrites the lines, so take this one's adjoint before."""
-        if (fine.height, fine.width) != self._dims:
+        """PdeLossResult of a field of the pair's fine dims and spacing, checked before any
+        line is written; the next call overwrites the lines, so take this one's adjoint first."""
+        if (fine.height, fine.width, fine.dx, fine.dy) != self._geometry:
+            h, w, dx, dy = self._geometry
             raise DimensionMismatchError(
-                f"fine field is {fine.height}x{fine.width}, pair expects "
-                f"{self._dims[0]}x{self._dims[1]}")
+                f"fine field is {fine.height}x{fine.width}, pair expects {h}x{w}; its spacing "
+                f"(dx, dy) is ({fine.dx}, {fine.dy}), the pair's fine spacing ({dx}, {dy})")
         rep = _fluxes(fine, self.part_f, self._lines, self.eps, self.ratio_eps, self.anomaly)
         self._fine, self._rep = fine, rep
         sq = (rep.r_eff - self.coarse_report.r_eff) ** 2
@@ -313,7 +314,7 @@ class FluxRatioLoss:
         part, rep = self.part_f, self._rep
         if rep is None:
             raise ValueError("the adjoint back-propagates a forward call: call forward first")
-        shape = self._dims
+        shape = self._geometry[:2]
         if out is not None and out.shape != shape:
             raise DimensionMismatchError(f"out has shape {out.shape}, the fine field {shape}")
         if len(self._lines[0].t) < 2 * part.n_rows:  # keep whole lines from now on

@@ -70,6 +70,29 @@ def oracle_line_gradient_adjoint(acc, lines, axis, g_t, g_along, g_normal, d_alo
             add(lo, q, -g_normal[at] / ((hi - lo) * d_normal))
 
 
+def oracle_step_advdiff(values, u_x, u_y, diffusivity, dt, steps, dx, dy):
+    """steps forward-Euler steps of dT/dt = -u . grad T + D lap T on a periodic
+    grid, pixel by pixel: first-order upwind differences toward the side the flow
+    comes from, and the centred five-point Laplacian. Returns a list of lists."""
+    h = len(values)
+    w = len(values[0])
+    t = [[float(v) for v in row] for row in values]
+    for _ in range(steps):
+        new = [[0.0] * w for _ in range(h)]
+        for i in range(h):
+            for j in range(w):
+                c = t[i][j]
+                left, right = t[i][(j - 1) % w], t[i][(j + 1) % w]
+                above, below = t[(i - 1) % h][j], t[(i + 1) % h][j]
+                dtdx = (c - left) / dx if u_x >= 0 else (right - c) / dx
+                dtdy = (c - above) / dy if u_y >= 0 else (below - c) / dy
+                lap = ((left - 2.0 * c + right) / (dx * dx)
+                       + (above - 2.0 * c + below) / (dy * dy))
+                new[i][j] = c - dt * (u_x * dtdx + u_y * dtdy) + dt * diffusivity * lap
+        t = new
+    return t
+
+
 def perimeter_sites(i0, j0, cell_h, cell_w):
     """Boundary walk of one cell: top l-to-r, bottom l-to-r, left
     t-to-b, right t-to-b; corners once per incident edge."""

@@ -1,3 +1,4 @@
+import ast
 import gc
 import io
 import json
@@ -726,6 +727,19 @@ class TestNonFiniteOptions:
         captured = capsys.readouterr()
         assert "[2, 5000]" in captured.err and "fit_bins" not in captured.out
 
+    def test_empty_fit_range_is_named_empty(self, tmp_path, capsys):
+        # both ends are bins of the 64x64 grid's [0, 44], but the range between them is empty
+        fp, cp = write_pair(tmp_path, h=64, w=64, scale=4)
+        out = tmp_path / "report.json"
+        assert main(["metrics", str(fp), str(fp), str(cp), "--cell", "4x4", "--fit-hi", "2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: fit range [3, 2] is empty: fit_lo > fit_hi\n"
+        assert not out.exists()
+        assert main(["ralsd", str(fp), "--fit-lo", "9", "--fit-hi", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: fit range [9, 5] is empty: fit_lo > fit_hi\n"
+        assert captured.out == ""
+
 
 class TestRalsd:
     def test_profile_and_slope(self, tmp_path, capsys):
@@ -828,6 +842,26 @@ def test_numpy_is_the_only_runtime_dependency(tmp_path):
                sys.stdlib_module_names | {"numpy", "fluxgrid"}]
     assert foreign == []
     assert "numpy.ma" not in loaded
+
+
+def test_every_module_imports_only_numpy_and_the_standard_library():
+    """The run above sees only what metrics and refine import. This reads every
+    module of the package, imports inside functions included, so a lazy import on
+    a path those runs skip (synth, ralsd, --window, the CSV worker, an error path)
+    fails here too. Relative imports are the package's own."""
+    allowed = sys.stdlib_module_names | {"numpy"}
+    foreign = []
+    for path in sorted(Path(fluxgrid.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert foreign == []
 
 
 class TestEntry:

@@ -264,6 +264,16 @@ def test_fit_range_must_lie_within_the_profile(lo, hi):
         ralsd(gen_grf(GrfSpec(32, 32, -2.0, 4)), lo, hi)
 
 
+def test_empty_fit_range_is_named_empty():
+    prof = ralsd(gen_grf(GrfSpec(32, 32, -2.0, 4)))
+    with pytest.raises(ValueError, match=r"fit range \[9, 5\] is empty: fit_lo > fit_hi"):
+        fit_slope(prof, 9, 5)
+    # an end outside the bins keeps its own message, whichever end is larger
+    with pytest.raises(ValueError, match=r"fit range \[30, 5\] is not within the bins \[0, 22\]"):
+        fit_slope(prof, 30, 5)
+
+
+
 def upsampled_pair(shape, scales, seed):
     fine = gen_grf(GrfSpec(*shape, -2.5, seed))
     noisy = fine.with_values(fine.values + 0.1 * np.random.default_rng(seed).normal(size=shape))

@@ -318,6 +318,22 @@ class TestAdjointInto:
                 loss.forward(grid(rng.normal(size=shape)))
             assert loss.adjoint().tobytes() == first.tobytes()
 
+    def test_field_at_another_spacing_fails_before_any_line(self):
+        # the pair's own values at dx 0.5, dy 2 would be scored against a coarse
+        # reference of another scale: loss 1.94, where the pair's field gives 1.82
+        pair = make_pair(gen_grf(GrfSpec(64, 64, -2.5, 0)), 4, 4)
+        with pytest.raises(DimensionMismatchError, match=(
+                r"64x64, pair expects 64x64; its spacing \(dx, dy\) is \(0\.5, 2\.0\), "
+                r"the pair's fine spacing \(1\.0, 1\.0\)")):
+            pde_loss(pair, Grid2D(64, 64, 0.5, 2.0, pair.fine.values), cell_override=(4, 4))
+        loss = FluxRatioLoss(pair, cell_override=(4, 4))
+        loss.forward(pair.fine)
+        first = loss.adjoint()
+        for dx, dy in ((0.5, 2.0), (1.0, 2.0), (2.0, 1.0)):
+            with pytest.raises(DimensionMismatchError, match=f"is \\({dx}, {dy}\\)"):
+                loss.forward(Grid2D(64, 64, dx, dy, pair.fine.values))
+            assert loss.adjoint().tobytes() == first.tobytes()
+
     def test_anomaly_adjoint_fails_before_touching_out(self):
         rng = np.random.default_rng(83)
         fine = grid(rng.normal(size=(32, 32)))

@@ -5,6 +5,8 @@ from fluxgrid import (AdvDiffSpec, Grid2D, GrfSpec, gen_affine, gen_constant,
                       gen_grf, make_scenario, pde_loss, ralsd, step_advdiff)
 from fluxgrid.errors import StabilityError
 
+from oracle import oracle_step_advdiff
+
 
 class TestAnalyticFields:
     def test_constant(self):
@@ -94,6 +96,21 @@ class TestStepper:
             cur = step_advdiff(AdvDiffSpec(0.0, 0.0, 0.2, 0.1, 1, cur))
             assert cur.values.var() < prev_var
             prev_var = cur.values.var()
+
+    # every velocity-sign pair at non-unit CFL with diffusion, and advective CFL
+    # numbers that sum to 1 with none, on an odd grid and on one with dx != dy
+    @pytest.mark.parametrize("cfl_x, cfl_y, diffusivity", [
+        (0.3, 0.2, 0.1), (-0.3, 0.2, 0.1), (0.3, -0.2, 0.1), (-0.3, -0.2, 0.1),
+        (0.6, -0.4, 0.0), (-0.6, 0.4, 0.0)])
+    @pytest.mark.parametrize("shape, dx, dy", [((17, 23), 1.0, 1.0), ((20, 12), 0.5, 2.0)])
+    def test_matches_the_loop_oracle(self, cfl_x, cfl_y, diffusivity, shape, dx, dy):
+        dt, steps = 0.5, 30
+        u_x, u_y = cfl_x * dx / dt, cfl_y * dy / dt
+        init = Grid2D.from_values(np.random.default_rng(11).normal(size=shape) + 3.0, dx, dy)
+        out = step_advdiff(AdvDiffSpec(u_x, u_y, diffusivity, dt, steps, init))
+        want = np.array(oracle_step_advdiff(init.values.tolist(), u_x, u_y, diffusivity, dt,
+                                            steps, dx, dy))
+        np.testing.assert_allclose(out.values, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_cfl_violation_names_both_numbers(self):
         init = gen_constant(8, 8, 1.0)
