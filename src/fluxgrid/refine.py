@@ -6,11 +6,16 @@ through one _Objective, which builds the grid pair and the FluxRatioLoss
 once per call. Its numeric gradient (central differences per pixel over
 that J) is the reference; the analytic one, FluxRatioLoss.adjoint of the
 last evaluation, is gated on agreement with it; it reuses that evaluation's
-T - T_init as well, so the fidelity gradient is one pass over the grid, and
-the fidelity is that difference's dot product with itself.
-Full-grid arrays are allocated once per call; candidates alternate between
-two buffers, never overwriting init.values or the accepted field, and are
-rejected on overflow.
+T - T_init as well, so the fidelity gradient is one pass over the iterate,
+and the fidelity is that difference's dot product with itself.
+
+The loss reads, and its adjoint writes, only S (supergrid.Reach), so from
+init both T - T_init and J's gradient stay exactly 0 off S. Where at least
+half the pixels lie off S, refine iterates on S alone and writes the final
+field back once; elsewhere (cells 4 pixels or less along either axis put
+every pixel in S) on the whole field. Work arrays are allocated once per
+call; candidates alternate between two of them, never overwriting
+init.values or the accepted iterate, and are rejected on overflow.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +25,7 @@ import numpy as np
 from .errors import ConvergenceStallError, DimensionMismatchError
 from .findiff import DEFAULT_EPS
 from .grid_core import Grid2D, GridPair
-from .supergrid import FluxRatioLoss, FluxReport
+from .supergrid import FluxRatioLoss, FluxReport, Reach
 
 
 @dataclass
@@ -63,93 +68,157 @@ class RefineTrace:
 
 class _Objective:
     """J = fidelity + lam * pde_loss of fields of fine's geometry, for one init
-    and coarse grid; lam starts at cfg.lambda_pde."""
+    and coarse grid; lam starts at cfg.lambda_pde.
 
-    def __init__(self, fine, init, coarse, cfg):
-        if init.values.shape != fine.values.shape:
-            raise DimensionMismatchError(f"init is {init.height}x{init.width}, "
-                                         f"fine field is {fine.height}x{fine.width}")
+    J is evaluated at an iterate x, the sources the flux loss reads its row and
+    its column lines from (supergrid.Reach), x[0] and x[-1]. Of a whole field x
+    is (its values,). With compact, where at least half the pixels lie off the
+    loss's reach S, x is the field's rows and its columns of S, whose rows off
+    the row block hold the side block, and stands for the field that is init
+    off S: each evaluation first copies the row block's pixels in S's columns
+    into them, and each analytic gradient adds the column terms there back into
+    the row block, where the numeric one differences J along S's pixels alone.
+    """
+
+    def __init__(self, fine, init, coarse, cfg, compact=False):
+        if (init.height, init.width, init.dx, init.dy) != (fine.height, fine.width, fine.dx,
+                                                           fine.dy):
+            raise DimensionMismatchError(
+                f"init is {init.height}x{init.width}, fine field is {fine.height}x{fine.width}; "
+                f"init's spacing (dx, dy) is ({init.dx}, {init.dy}), the fine field's "
+                f"({fine.dx}, {fine.dy})")
         self.flux = FluxRatioLoss(GridPair.from_grids(coarse, fine), cfg.eps,
                                   cfg.cell_override, cfg.ratio_eps)
         self.init, self.cfg, self.lam = init, cfg, cfg.lambda_pde
-        self._diff = np.empty(fine.values.shape)  # T - T_init at the last evaluation
+        reach, (h, w) = Reach.of(self.flux.part_f), init.values.shape
+        self.reach = None
+        if compact and 2 * (h - len(reach.rows)) * (w - len(reach.cols)) >= h * w:
+            self.reach = reach
+            # the row block's pixels in S's columns, as flat indices into it
+            self._near = np.arange(len(reach.rows))[:, None] * w + reach.cols
+        self.x_init = self.split(init.values)
+        self._diff = self.empty()  # T - T_init at the last evaluation
 
-    def __call__(self, fine):
-        """(total, fidelity, PdeLossResult) at fine."""
-        diff = np.subtract(fine.values, self.init.values, out=self._diff)
-        fid = float(np.einsum("ij,ij", diff, diff) / diff.size)
-        result = self.flux.forward(fine)
+    def split(self, values):
+        """The iterate of a field's values."""
+        if self.reach is None:
+            return (values,)
+        return values[self.reach.rows], values[:, self.reach.cols]
+
+    def empty(self):
+        """A new iterate, its values unset."""
+        return tuple(np.empty(b.shape) for b in self.x_init)
+
+    def blocks(self, x):
+        """The blocks of x, which hold each pixel it stands for once: its row
+        block, then its side block, a view."""
+        return [x[0], *(self.reach.side(c) for c in x[1:])]
+
+    def field(self, x):
+        """The field x stands for, as a checked Grid2D."""
+        values = x[0]
+        if self.reach is not None:
+            values = self.init.values.copy()
+            values[:, self.reach.cols] = x[1]
+            values[self.reach.rows] = x[0]
+        return self.init.with_values(values)
+
+    def __call__(self, x):
+        """(total, fidelity, PdeLossResult) at x, whose column source first takes
+        its pixels of the row block from it."""
+        if self.reach is not None:
+            x[1][self.reach.rows] = x[0].take(self._near)
+        diff = self.blocks(self._diff)
+        for d, b, b0 in zip(diff, self.blocks(x), self.blocks(self.x_init)):
+            np.subtract(b, b0, out=d)
+        fid = np.einsum("ij,ij", diff[0], diff[0])
+        for d in diff[1:]:
+            fid += np.einsum("ijk,ijk", d, d)
+        fid = float(fid / self.init.values.size)
+        result = self.flux.forward_blocks(x[0], x[-1])
         return fid + self.lam * result.loss, fid, result
 
-    def gradient_into(self, out, fine):
-        """J's gradient at fine, in out. The analytic one scales the last
-        evaluation's T - T_init and back-propagates its flux loss, so that
-        evaluation must have been at fine."""
+    def gradient_into(self, g, x):
+        """J's gradient at x, in g, an iterate of empty(). The analytic one scales
+        the last evaluation's T - T_init and back-propagates its flux loss, so that
+        evaluation must have been at x; the numeric one differences J along each
+        pixel of x's blocks, leaving g's column source off them unset."""
         if self.cfg.grad_mode == "numeric_central":
-            h, vals = self.cfg.fd_h, fine.values.copy()
-            for idx in np.ndindex(out.shape):
-                orig = vals[idx]
-                vals[idx] = orig + h
-                j_plus = self(fine.with_values(vals))[0]
-                vals[idx] = orig - h
-                j_minus = self(fine.with_values(vals))[0]
-                vals[idx] = orig
-                out[idx] = (j_plus - j_minus) / (2.0 * h)
-            return out
-        np.multiply(self._diff, 2.0 / out.size, out=out)
-        return out if self.lam == 0.0 else self.flux.adjoint(out, scale=self.lam)
+            h, y = self.cfg.fd_h, [b.copy() for b in x]
+            for gb, yb in zip(self.blocks(g), self.blocks(y)):
+                for idx in np.ndindex(yb.shape):
+                    orig = yb[idx]
+                    yb[idx] = orig + h
+                    j_plus = self(y)[0]
+                    yb[idx] = orig - h
+                    j_minus = self(y)[0]
+                    yb[idx] = orig
+                    gb[idx] = (j_plus - j_minus) / (2.0 * h)
+            return g
+        for gb, d in zip(self.blocks(g), self.blocks(self._diff)):
+            np.multiply(d, 2.0 / self.init.values.size, out=gb)
+        if self.lam == 0.0:
+            return g
+        if self.reach is not None:
+            g[1][self.reach.rows] = 0.0
+        self.flux.adjoint(g[0], scale=self.lam, cols=g[-1])
+        if self.reach is not None:  # the column terms on the row block's pixels
+            g[0].reshape(-1)[self._near] += g[1][self.reach.rows]
+        return g
 
 
 def objective(fine, init, coarse, cfg):
     """(total, fidelity, pde) with total = fidelity + lambda * pde."""
-    total, fid, result = _Objective(fine, init, coarse, cfg)(fine)
+    obj = _Objective(fine, init, coarse, cfg)
+    total, fid, result = obj(obj.split(fine.values))
     return total, fid, result.loss
 
 
 def gradient(fine, init, coarse, cfg):
     """Gradient of the composite objective with respect to the fine field."""
     obj = _Objective(fine, init, coarse, cfg)
+    x = obj.split(fine.values)
     if cfg.grad_mode == "analytic":
-        obj(fine)  # the forward pass the adjoint back-propagates
-    return obj.gradient_into(np.empty_like(fine.values), fine)
+        obj(x)  # the forward pass the adjoint back-propagates
+    return obj.gradient_into(obj.empty(), x)[0]
 
 
 def refine(init, coarse, cfg):
     """Backtracking gradient descent from the initial fine field."""
-    obj = _Objective(init, init, coarse, cfg)
-    grad, free, spare = (np.empty(init.values.shape) for _ in range(3))
-    _, fid, result = obj(init)
+    obj = _Objective(init, init, coarse, cfg, compact=True)
+    current = obj.x_init
+    grad, free, spare = obj.empty(), obj.empty(), obj.empty()
+    _, fid, result = obj(current)
     if cfg.normalize_pde and cfg.lambda_pde > 0 and result.loss > 0:
         obj.lam = cfg.lambda_pde / result.loss
     total = fid + obj.lam * result.loss
 
     trace = RefineTrace(objective=[total], fidelity=[fid], pde=[result.loss],
                         lambda_used=obj.lam, coarse_report=result.coarse_report)
-    current = init
 
     for _ in range(cfg.max_iters):
         trace.iters_run += 1
         obj.gradient_into(grad, current)
-        if max(grad.max(), -grad.min()) < 1e-15:
+        if max(max(g.max(), -g.min()) for g in obj.blocks(grad)) < 1e-15:
             trace.converged = True
             break
         with np.errstate(over="ignore", invalid="ignore"):  # candidates may overflow
             for k in range(31):  # initial step plus up to 30 halvings
                 step = cfg.step_size * 0.5 ** k
-                np.subtract(current.values, np.multiply(grad, step, out=free), out=free)
-                try:
-                    cand = current.with_values(free)
-                except ValueError:  # inf or NaN values: not a descent step
+                cand = obj.blocks(free)
+                for c, g, f in zip(obj.blocks(current), obj.blocks(grad), cand):
+                    np.subtract(c, np.multiply(g, step, out=f), out=f)
+                if not all(np.isfinite(f).all() for f in cand):  # not a descent step
                     continue
-                new_total, fid, result = obj(cand)
+                new_total, fid, result = obj(free)
                 if new_total < total:  # False for a NaN or inf total
                     break
             else:  # no break: every step was rejected
-                trace.final_field = current
+                trace.final_field = obj.field(current)
                 raise ConvergenceStallError(
                     f"no descent step found after 30 halvings at iteration "
                     f"{trace.iters_run}", trace)
-        current = cand
+        current = free
         free, spare = spare, free  # the next candidate must not overwrite current
         trace.objective.append(new_total)
         trace.fidelity.append(fid)
@@ -160,5 +229,5 @@ def refine(init, coarse, cfg):
             trace.converged = True
             break
 
-    trace.final_field = current
+    trace.final_field = obj.field(current)
     return trace

@@ -31,6 +31,13 @@ into the rows and columns the stencils read (findiff.edge_lines_adjoint):
 each cell's first and last line and their neighbours recur one cell apart,
 so they add straight into the gradient through strided views, and a pixel
 two or more pixels away from every edge line never enters.
+
+The pixels that do enter are S (Reach). The kernel reads its row lines from
+a row source and its column lines from a column source, and the adjoint adds
+each axis's terms into a target shaped like its source: the field for both
+(pde_loss, forward), or S's rows and S's columns (forward_blocks). A source
+holds as many lines of each cell as of any other, so the line arrays hold
+the same values either way.
 """
 
 import math
@@ -108,29 +115,56 @@ def build_partition(grid, cell_h, cell_w):
 
 
 @dataclass
+class Reach:
+    """S, the pixels the flux loss of part's cells reads and its adjoint writes:
+    each cell's first two and last two rows across the grid (the row block) and,
+    on the other rows, each cell's first two and last two columns (the side
+    block). rows and cols list those rows and columns in grid order, all of them
+    along an axis where the cells are 4 pixels or less."""
+
+    part: SupergridPartition
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def of(cls, part):
+        near = []
+        for n, cell in ((part.n_rows, part.cell_h), (part.n_cols, part.cell_w)):
+            lines = np.arange(n * cell)
+            near.append(lines[(lines % cell < 2) | (lines % cell >= cell - 2)])
+        return cls(part, *near)
+
+    def side(self, cols):
+        """The side block of a column source: a view of each cell's rows off rows."""
+        return cols.reshape(self.part.n_rows, self.part.cell_h, -1)[:, 2:-2]
+
+
+@dataclass
 class _EdgeLines:
     """The first and last line of every cell along one axis, with arrays for
     the values on them: the top and bottom rows of the cells (axis 0) or
     their left and right columns (axis 1).
 
-    lines lists each cell's first line and then its last line, cell by cell,
-    so a one-pixel-thin cell lists its line twice; arrays on the lines (and
-    their per-cell sums) hold first lines at even and last lines at odd
-    positions along axis. For one band of cell rows at a time, _fluxes fills
-    both axes' t (less its cell's boundary mean with anomaly), g_along,
-    g_normal, mag and u (the normal component of the unit vector); d holds the
-    spacings along and across, cell_len a cell's extent along a line.
-    The arrays hold one band: the whole lines if it spans the grid.
+    lines indexes them in the source _fluxes last read them from: a source
+    holds as many lines of each cell as of any other, in order, so lines lists
+    each cell's first line and then its last line, cell by cell, and a
+    one-pixel-thin cell lists its line twice. Arrays on the lines (and their
+    per-cell sums) hold first lines at even and last lines at odd positions
+    along axis. For one band of cell rows at a time, _fluxes fills both axes'
+    t (less its cell's boundary mean with anomaly), g_along, g_normal, mag and
+    u (the normal component of the unit vector); d holds the spacings along
+    and across, cell_len a cell's extent along a line. The arrays hold one
+    band: the whole lines if it spans the grid.
     """
 
     axis: int
-    lines: np.ndarray
     cell_len: int
     t: np.ndarray
     g_along: np.ndarray
     g_normal: np.ndarray
     mag: np.ndarray
     u: np.ndarray
+    lines: np.ndarray = None
     d: tuple = None
 
 
@@ -143,26 +177,28 @@ def _line_tables(part, band=None):
         band = max(1, grid_core.BLOCK_ELEMS // (2 * n_cols * max(part.cell_w, cell_h)))
     band = min(band, part.n_rows)
     halo = 2 if band < part.n_rows else 0
-    return [_EdgeLines(axis, (np.arange(n)[:, None] * cell + [0, cell - 1]).ravel(), cell_len,
-                       *(np.empty(shape) for _ in range(5)))
-            for axis, cell, n, cell_len, shape in (
-                (0, cell_h, part.n_rows, part.cell_w, (2 * band, n_cols * part.cell_w)),
-                (1, part.cell_w, n_cols, cell_h, (band * cell_h + halo, 2 * n_cols)))]
+    return [_EdgeLines(axis, cell_len, *(np.empty(shape) for _ in range(5)))
+            for axis, cell_len, shape in (
+                (0, part.cell_w, (2 * band, n_cols * part.cell_w)),
+                (1, cell_h, (band * cell_h + halo, 2 * n_cols)))]
 
 
-def _bands(grid, part, lines):
+def _bands(part, lines, rows, cols):
     """For each band of cell rows that the arrays of lines hold: its cell rows
-    and, for each axis, (ln, slab, sel, n, rows). slab is the band's pixel rows
-    with a halo row either side within the grid, sel its lines indexed in slab,
-    n the array rows they fill and rows those of the band itself."""
-    band, cell_h = len(lines[0].t) // 2, part.cell_h
+    and, for each axis, (ln, slab, sel, n, own). slab is the band's rows of the
+    axis's source (rows, cols) with a halo row either side within it, sel its
+    lines indexed in slab, n the array rows they fill and own those of the band
+    itself."""
+    band, cell_h, per_cell = len(lines[0].t) // 2, part.cell_h, lines[0].lines[1] + 1
     for c0 in range(0, part.n_rows, band):
         c1 = min(c0 + band, part.n_rows)
-        lo, hi = max(c0 * cell_h - 1, 0), min(c1 * cell_h + 1, grid.height)
-        slab = grid.values[lo:hi]
+        r0, r1 = max(c0 * per_cell - 1, 0), min(c1 * per_cell + 1, len(rows))
+        lo, hi = max(c0 * cell_h - 1, 0), min(c1 * cell_h + 1, len(cols))
         yield slice(c0, c1), (
-            (lines[0], slab, lines[0].lines[2 * c0:2 * c1] - lo, 2 * (c1 - c0), slice(None)),
-            (lines[1], slab, lines[1].lines, hi - lo, slice(c0 * cell_h - lo, c1 * cell_h - lo)))
+            (lines[0], rows[r0:r1], lines[0].lines[2 * c0:2 * c1] - r0, 2 * (c1 - c0),
+             slice(None)),
+            (lines[1], cols[lo:hi], lines[1].lines, hi - lo,
+             slice(c0 * cell_h - lo, c1 * cell_h - lo)))
 
 
 def _cells(ln, x):
@@ -203,20 +239,24 @@ def _boundary_mean_adjoint(part, lines, per_cell, outward=False):
             for ln in lines)
 
 
-def _fluxes(grid, part, lines, eps, ratio_eps, anomaly=False):
-    """Per-cell fluxes of a grid, band by band through the arrays of lines.
+def _fluxes(part, lines, rows, cols, dx, dy, eps, ratio_eps, anomaly=False):
+    """Per-cell fluxes of the field of spacing (dx, dy) whose row lines are read
+    from rows and column lines from cols (see Reach), band by band through the
+    arrays of lines.
 
     Each band fills both axes' lines and then writes its own cell rows of
     phi_adv and phi_diff: a band holds whole cells, so with anomaly it takes
     each cell's boundary mean of T from its own lines and subtracts it from t
     before the product with u.
     """
-    check_gradient_input(grid, eps)
-    lines[0].d, lines[1].d = (grid.dx, grid.dy), (grid.dy, grid.dx)
+    for ln, src, n in zip(lines, (rows, cols), (part.n_rows, part.n_cols)):
+        per_cell = src.shape[ln.axis] // n
+        ln.lines = (np.arange(n)[:, None] * per_cell + [0, per_cell - 1]).ravel()
+    lines[0].d, lines[1].d = (dx, dy), (dy, dx)
     phi_adv, phi_diff = np.empty((2, part.n_rows, part.n_cols))
-    for cells, axes in _bands(grid, part, lines):
+    for cells, axes in _bands(part, lines, rows, cols):
         band = []
-        for ln, slab, sel, n, rows in axes:
+        for ln, slab, sel, n, own in axes:
             t, g_along, g_normal, mag, u = (x[:n] for x in (ln.t, ln.g_along, ln.g_normal,
                                                             ln.mag, ln.u))
             line_gradient(slab, sel, ln.axis, *ln.d, (t, g_along, g_normal))
@@ -224,7 +264,7 @@ def _fluxes(grid, part, lines, eps, ratio_eps, anomaly=False):
             mag += np.multiply(g_normal, g_normal, out=u)
             np.sqrt(mag, out=mag)
             np.divide(g_normal, np.add(mag, eps, out=u), out=u)
-            band.append([_cells(ln, x[rows]) for x in (t, u, mag)])
+            band.append([_cells(ln, x[own]) for x in (t, u, mag)])
         t, u, mag = zip(*band)  # one view per axis, of the band's own rows
         if anomaly:
             t_mean = _boundary_mean(part, map(_line_sums, lines, t))
@@ -249,7 +289,9 @@ def cell_fluxes(grid, part, eps=DEFAULT_EPS, ratio_eps=None, anomaly=False):
             f"partition covers {part.cell_h * part.n_rows}x{part.cell_w * part.n_cols}, "
             f"grid is {grid.height}x{grid.width}")
     ratio_eps = eps if ratio_eps is None else check_stabilizer("ratio_eps", ratio_eps)
-    return _fluxes(grid, part, _line_tables(part), eps, ratio_eps, anomaly)
+    check_gradient_input(grid, eps)
+    return _fluxes(part, _line_tables(part), grid.values, grid.values, grid.dx, grid.dy, eps,
+                   ratio_eps, anomaly)
 
 
 def pde_loss(pair, fine_field, eps=DEFAULT_EPS, cell_override=None,
@@ -298,28 +340,41 @@ class FluxRatioLoss:
             raise DimensionMismatchError(
                 f"fine field is {fine.height}x{fine.width}, pair expects {h}x{w}; its spacing "
                 f"(dx, dy) is ({fine.dx}, {fine.dy}), the pair's fine spacing ({dx}, {dy})")
-        rep = _fluxes(fine, self.part_f, self._lines, self.eps, self.ratio_eps, self.anomaly)
-        self._fine, self._rep = fine, rep
+        return self.forward_blocks(fine.values, fine.values)
+
+    def forward_blocks(self, rows, cols):
+        """forward of the field whose row lines are read from rows and column lines
+        from cols, unchecked: its values for both, or its rows and columns of
+        Reach.of(self.part_f), with the column source's rows of the row block
+        equal to it."""
+        rep = _fluxes(self.part_f, self._lines, rows, cols, *self._geometry[2:], self.eps,
+                      self.ratio_eps, self.anomaly)
+        self._sources, self._rep = (rows, cols), rep
         sq = (rep.r_eff - self.coarse_report.r_eff) ** 2
         return PdeLossResult(loss=float(sq.mean()), per_cell_sq_diff=sq, n_cells=sq.size,
                              coarse_report=self.coarse_report, fine_report=rep)
 
-    def adjoint(self, out=None, scale=1.0):
+    def adjoint(self, out=None, scale=1.0, cols=None):
         """Gradient of the last forward call's loss with respect to its field. scale
         times it is added into out (a new zero array by default), and out returned:
         each axis's edge lines and their neighbours through strided views of out's
-        rows or columns one cell apart, with no accumulator."""
+        rows or columns one cell apart, with no accumulator. With cols, out takes
+        the row lines' terms and cols the column lines': each shaped like the
+        source the last forward call read those lines from."""
         if self.anomaly:
             raise ValueError("the adjoint is implemented for anomaly=False only")
         part, rep = self.part_f, self._rep
         if rep is None:
             raise ValueError("the adjoint back-propagates a forward call: call forward first")
-        shape = self._geometry[:2]
-        if out is not None and out.shape != shape:
-            raise DimensionMismatchError(f"out has shape {out.shape}, the fine field {shape}")
+        out = np.zeros(self._sources[0].shape) if out is None else out
+        cols = out if cols is None else cols
+        for name, target, source in zip(("out", "cols"), (out, cols), self._sources):
+            if target.shape != source.shape:
+                raise DimensionMismatchError(
+                    f"{name} has shape {target.shape}, the field's source {source.shape}")
         if len(self._lines[0].t) < 2 * part.n_rows:  # keep whole lines from now on
             self._lines = _line_tables(part, part.n_rows)
-            self.forward(self._fine)
+            self.forward_blocks(*self._sources)
         lines = self._lines
         denom = rep.phi_diff + self.ratio_eps
         g_r = (2.0 * scale / rep.r_eff.size) * (rep.r_eff - self.coarse_report.r_eff)
@@ -327,8 +382,7 @@ class FluxRatioLoss:
         g_adv = _boundary_mean_adjoint(part, lines, g_r / denom, outward=True)
         g_mag = _boundary_mean_adjoint(part, lines, -g_r * rep.phi_adv / denom ** 2)
 
-        out = np.zeros(shape) if out is None else out
-        for ln, g_tu, radial in zip(lines, g_adv, g_mag):
+        for ln, acc, g_tu, radial in zip(lines, (out, cols), g_adv, g_mag):
             # back through u = g_normal / (|grad T| + eps) and |grad T|:
             # (g_along, g_normal) gets grad T * radial plus inv * g_u on g_normal,
             # radial = (g_mag - inv * g_u * u) / |grad T|, 0 where |grad T| = 0
@@ -341,5 +395,5 @@ class FluxRatioLoss:
             g_along = np.multiply(ln.g_along, radial, out=inv)
             radial *= ln.g_normal
             radial += g_u
-            edge_lines_adjoint(out, ln.lines, ln.axis, g_tu, g_along, radial, *ln.d)
+            edge_lines_adjoint(acc, ln.lines, ln.axis, g_tu, g_along, radial, *ln.d)
         return out

@@ -93,6 +93,18 @@ def oracle_step_advdiff(values, u_x, u_y, diffusivity, dt, steps, dx, dy):
     return t
 
 
+def oracle_reach(h, w, cell_h, cell_w):
+    """S, the pixels the flux loss reads: those whose row is within one row of a
+    cell's first or last row, or whose column is within one column of a cell's
+    first or last column. A list of lists of bools."""
+    def near(n, cell):
+        edges = [k + off for k in range(0, n, cell) for off in (0, cell - 1)]
+        return [any(abs(i - e) <= 1 for e in edges) for i in range(n)]
+
+    rows, cols = near(h, cell_h), near(w, cell_w)
+    return [[rows[i] or cols[j] for j in range(w)] for i in range(h)]
+
+
 def perimeter_sites(i0, j0, cell_h, cell_w):
     """Boundary walk of one cell: top l-to-r, bottom l-to-r, left
     t-to-b, right t-to-b; corners once per incident edge."""

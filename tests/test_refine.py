@@ -9,7 +9,9 @@ from fluxgrid import (Grid2D, GridPair, GrfSpec, RefineConfig, coarsen_block_mea
                       pde_loss, refine, upsample_quadratic)
 from fluxgrid.errors import ConvergenceStallError, DimensionMismatchError
 from fluxgrid.refine import _Objective
-from fluxgrid.supergrid import FluxRatioLoss
+from fluxgrid.supergrid import FluxRatioLoss, Reach
+
+from oracle import oracle_reach
 
 
 def grid(values, dx=1.0, dy=1.0):
@@ -87,6 +89,11 @@ class TestObjective:
         init = grid(np.zeros((16, 12)))
         with pytest.raises(DimensionMismatchError, match="init is 16x12, fine field is 16x16"):
             evaluate(fine, init, coarse, RefineConfig())
+        # the fidelity would compare the two pixel by pixel all the same
+        init = Grid2D(16, 16, 0.5, 2.0, fine.values + 0.1)
+        with pytest.raises(DimensionMismatchError, match=(
+                r"init's spacing \(dx, dy\) is \(0\.5, 2\.0\), the fine field's \(1\.0, 1\.0\)")):
+            evaluate(fine, init, coarse, RefineConfig(cell_override=(2, 2)))
 
 
 class TestGradient:
@@ -328,6 +335,89 @@ class TestNumericPath:
                                    atol=1e-12 * np.abs(cand.values).max())
 
 
+# (fine shape, scales, coarse cells): fine cells 1 (1x4: 1x1 cells have r_eff 0), 2, 3,
+# 4, 5, 8, 16 and 20 px, unequal 16x8 and 15x9, and odd non-square grids of odd cells
+REACH_CASES = [
+    ((6, 8), (1, 2), (1, 2)), ((8, 6), (2, 2), (1, 1)), ((9, 12), (3, 3), (1, 1)),
+    ((16, 12), (2, 2), (2, 2)), ((15, 20), (5, 5), (1, 1)), ((16, 24), (4, 4), (2, 2)),
+    ((32, 32), (4, 4), (4, 4)), ((40, 20), (4, 4), (5, 5)), ((32, 24), (4, 4), (4, 2)),
+    ((30, 27), (3, 3), (5, 3)), ((35, 27), (1, 1), (7, 9)), ((33, 21), (3, 3), (11, 7))]
+
+
+def reach_case(case, seed):
+    """init, coarse, cfg kwargs and S for one case of REACH_CASES."""
+    shape, scales, cell = case
+    rng = np.random.default_rng(seed)
+    init = grid(rng.normal(size=shape), dx=0.6, dy=1.7)
+    coarse = coarsen_block_mean(grid(rng.normal(size=shape), dx=0.6, dy=1.7), *scales)
+    fine_cell = (cell[0] * scales[0], cell[1] * scales[1])
+    return (init, coarse, dict(cell_override=cell, ratio_eps=1e-3),
+            np.array(oracle_reach(*shape, *fine_cell)))
+
+
+class TestReach:
+    """From init, refine moves only the pixels the flux loss can reach: the
+    fidelity gradient is 0 wherever T = T_init, and the loss's is 0 off S."""
+
+    @pytest.mark.parametrize("case", REACH_CASES)
+    @pytest.mark.parametrize("grad_mode", ["analytic", "numeric_central"])
+    def test_refine_moves_only_the_reachable_set(self, case, grad_mode):
+        init, coarse, kwargs, mask = reach_case(case, 100)
+        iters = 4 if grad_mode == "analytic" else 1
+        trace = refine(init, coarse, RefineConfig(max_iters=iters, grad_mode=grad_mode,
+                                                  **kwargs))
+        moved = trace.final_field.values != init.values
+        assert moved.any()
+        assert not moved[~mask].any()
+        assert trace.final_field.values[~mask].tobytes() == init.values[~mask].tobytes()
+
+    @pytest.mark.parametrize("case", REACH_CASES)
+    @pytest.mark.parametrize("fd_h", [1e-5, 1e3])
+    def test_numeric_gradient_is_zero_off_the_reachable_set(self, case, fd_h):
+        init, coarse, kwargs, mask = reach_case(case, 101)
+        noise = np.random.default_rng(102).normal(size=mask.shape)
+        fine = init.with_values(init.values + 0.3 * noise * mask)
+        g = gradient(fine, init, coarse, RefineConfig(lambda_pde=0.9, grad_mode="numeric_central",
+                                                      fd_h=fd_h, **kwargs))
+        assert np.all(g[~mask] == 0.0)
+        assert np.count_nonzero(g[mask]) > mask.sum() // 2
+
+    @pytest.mark.parametrize("case", REACH_CASES)
+    def test_reach_is_the_set_the_loss_reads(self, case):
+        init, coarse, kwargs, mask = reach_case(case, 103)
+        reach = Reach.of(_Objective(init, init, coarse, RefineConfig(**kwargs)).flux.part_f)
+        got = np.zeros(mask.shape, dtype=bool)
+        got[reach.rows] = got[:, reach.cols] = True
+        assert np.array_equal(got, mask)
+        # the side block views the column source's rows off the row block
+        source = np.repeat(np.arange(mask.shape[0])[:, None], len(reach.cols), axis=1)
+        side = reach.side(source)
+        assert np.shares_memory(side, source) or side.size == 0
+        assert sorted(side[..., 0].ravel()) == sorted(set(range(len(mask))) - set(reach.rows))
+
+    # 16x16, 20x20 and 33x21 fine cells leave over half the pixels off S, so refine
+    # iterates on S's two blocks; with S widened to every row it takes the whole grid
+    @pytest.mark.parametrize("case", [REACH_CASES[i] for i in (6, 7, 11)])
+    def test_blocks_refine_as_the_whole_grid(self, monkeypatch, case):
+        init, coarse, kwargs, _ = reach_case(case, 104)
+        cfg = RefineConfig(max_iters=6, **kwargs)
+        assert _Objective(init, init, coarse, cfg, compact=True).reach is not None
+        got = refine(init, coarse, cfg)
+
+        class EveryRow(Reach):
+            @classmethod
+            def of(cls, part):
+                return Reach(part, np.arange(part.n_rows * part.cell_h), Reach.of(part).cols)
+
+        monkeypatch.setattr(sys.modules["fluxgrid.refine"], "Reach", EveryRow)
+        assert _Objective(init, init, coarse, cfg, compact=True).reach is None
+        want = refine(init, coarse, cfg)
+        assert got.final_field.values.tobytes() == want.final_field.values.tobytes()
+        assert got.pde == want.pde and got.iters_run == want.iters_run == 6
+        assert got.objective == pytest.approx(want.objective, rel=1e-15)
+        assert got.fidelity == pytest.approx(want.fidelity, rel=1e-12, abs=0)
+
+
 def public_objective(fine, init, coarse, cfg):
     return objective(fine, init, coarse, cfg)[0]
 
@@ -358,9 +448,10 @@ class TestBuffers:
         a, b = (init.with_values(init.values + 0.1 * rng.normal(size=(32, 32)))
                 for _ in range(2))
         obj = _Objective(init, init, coarse, RefineConfig(lambda_pde=0.8, cell_override=(2, 2)))
-        obj(a)
-        obj(b)
-        got = obj.gradient_into(np.empty((32, 32)), b)
+        obj(obj.split(a.values))
+        x = obj.split(b.values)
+        obj(x)
+        got = obj.gradient_into(obj.empty(), x)[0]
         want = (b.values - init.values) * (2.0 / b.values.size)
         loss = FluxRatioLoss(GridPair.from_grids(coarse, init), cell_override=(2, 2))
         loss.forward(b)

@@ -295,6 +295,47 @@ class TestAdjointInto:
         assert axes == [0, 1]
         np.testing.assert_allclose(got, plain, rtol=1e-12, atol=1e-12 * np.abs(plain).max())
 
+    # fine cells 16x16, 20x16, 33x21 and 15x9 (two lines of each cell 1 pixel apart
+    # in the blocks), and 4x3, where the blocks hold the whole field
+    @pytest.mark.parametrize("shape, scales, cell", [
+        ((64, 64), (4, 4), (4, 4)), ((40, 48), (4, 4), (5, 4)), ((33, 21), (3, 3), (11, 7)),
+        ((30, 27), (3, 3), (5, 3)), ((24, 30), (2, 3), (2, 1))])
+    @pytest.mark.parametrize("one_row_bands", [False, True])
+    def test_blocks_give_the_fields_loss_and_adjoint(self, monkeypatch, shape, scales, cell,
+                                                    one_row_bands):
+        rng = np.random.default_rng(85)
+        fine = grid(rng.normal(size=shape), dx=0.6, dy=1.7)
+        pair = GridPair(make_pair(grid(rng.normal(size=shape), dx=0.6, dy=1.7),
+                                  *scales).coarse, fine, *scales)
+        whole = FluxRatioLoss(pair, cell_override=cell, ratio_eps=1e-3)
+        want = whole.forward(fine)
+        plain = whole.adjoint()
+        if one_row_bands:
+            monkeypatch.setattr(grid_core, "BLOCK_ELEMS", 1)
+        loss = FluxRatioLoss(pair, cell_override=cell, ratio_eps=1e-3)
+        reach = supergrid.Reach.of(loss.part_f)
+        rows, cols = fine.values[reach.rows], fine.values[:, reach.cols]
+        got = loss.forward_blocks(rows, cols)
+        assert got.loss == want.loss
+        for a, b in zip(flux_arrays(got.fine_report), flux_arrays(want.fine_report)):
+            assert np.array_equal(a, b)
+        g_rows = rng.normal(size=rows.shape)
+        g_cols = rng.normal(size=cols.shape)
+        g_cols[reach.rows] = 0.0  # the row block's pixels start in g_rows
+        start = np.zeros(shape)
+        start[:, reach.cols] = g_cols
+        start[reach.rows] = g_rows
+        assert loss.adjoint(g_rows, scale=-2.5, cols=g_cols) is g_rows
+        g_rows[:, reach.cols] += g_cols[reach.rows]
+        field = np.zeros(shape)
+        field[:, reach.cols] = g_cols
+        field[reach.rows] = g_rows
+        np.testing.assert_allclose(field, start - 2.5 * plain, rtol=1e-12,
+                                   atol=1e-12 * np.abs(start).max())
+        assert np.all(plain[field == 0.0] == 0.0)  # off S
+        with pytest.raises(DimensionMismatchError, match="cols has shape"):
+            loss.adjoint(np.zeros(rows.shape), cols=np.zeros(shape[::-1]))
+
     def test_misuse_fails_before_touching_out(self):
         rng = np.random.default_rng(82)
         fine = grid(rng.normal(size=(32, 32)))
@@ -429,8 +470,10 @@ class TestBands:
         assert peak < 3 * fine.values.nbytes
 
     def test_refine_peak_memory(self):
-        # refine's own full-grid arrays (the gradient, two candidates and the
-        # fidelity difference) plus the adjoint's whole lines and accumulators
+        # refine's own arrays (init's blocks, the gradient, two candidates and the
+        # fidelity difference, each on S's row block and columns: 16x16 fine cells
+        # leave 56% of the pixels off S), the adjoint's whole lines and temporaries,
+        # and the final field
         fine = grid(np.random.default_rng(95).normal(size=(256, 256)))
         pair = make_pair(fine, 4, 4)
         tracemalloc.start()
