@@ -46,18 +46,18 @@ def check_gradient_input(grid, eps):
 
 def _diff_axis(values, spacing, axis, out=None):
     """Centered differences along one axis, one-sided first order at the ends."""
-    v = np.moveaxis(values, axis, 1)
-    d = np.empty_like(v) if out is None else np.moveaxis(out, axis, 1)
+    v = values if axis else values.T
+    d = np.empty_like(v) if out is None else out if axis else out.T
     np.subtract(v[:, 2:], v[:, :-2], out=d[:, 1:-1])  # in place: no full-size temporaries
     d[:, 1:-1] /= 2.0 * spacing
     d[:, 0] = (v[:, 1] - v[:, 0]) / spacing
     d[:, -1] = (v[:, -1] - v[:, -2]) / spacing
-    return np.moveaxis(d, 1, axis)
+    return d if axis else d.T
 
 
 def _diff_axis_adjoint(g, spacing, axis, out):
     """Add the adjoint of _diff_axis(., spacing, axis), applied to g, to out."""
-    g, out = np.moveaxis(g, axis, 1), np.moveaxis(out, axis, 1)
+    g, out = (g, out) if axis else (g.T, out.T)
     inner = g[:, 1:-1] / (2.0 * spacing)
     out[:, 2:] += inner
     out[:, :-2] -= inner
@@ -82,10 +82,9 @@ def line_gradient(a, lines, axis, d_along, d_normal, out=(None, None, None)):
     in the arrays of out where given (take's mode="clip" fills them unbuffered).
     """
     lo, hi = _neighbours(lines, a.shape[axis])
-    step = np.expand_dims((hi - lo) * d_normal, 1 - axis)
     g_normal = np.take(a, hi, axis, out=out[2], mode="clip")
     g_normal -= np.take(a, lo, axis, out=out[0], mode="clip")  # out[0] is scratch here
-    g_normal /= step
+    g_normal /= np.expand_dims((hi - lo) * d_normal, 1 - axis)
     t = np.take(a, lines, axis, out=out[0], mode="clip")
     return t, _diff_axis(t, d_along, 1 - axis, out[1]), g_normal
 
@@ -97,16 +96,17 @@ def edge_lines_adjoint(acc, lines, axis, g_t, g_along, g_normal, d_along, d_norm
     each cell's first and last line, cell by cell, of cells lines[1] + 1 long
     along axis. g_t is overwritten. The line before a cell's first line is the
     last line of the cell before, and the one after its last line the first of
-    the cell after, so g_t takes their terms and those of any neighbour clipped
-    onto its own line at the border; g_t and the two other neighbours then add
-    into acc through strided views, one cell apart."""
+    the cell after, so g_t takes their terms, and at the grid's first and last
+    line (two entries each where one-pixel-thin cells list it twice) those of the
+    neighbour clipped onto it; g_t and the other two add into acc through strided views."""
     _diff_axis_adjoint(g_along, d_along, 1 - axis, g_t)
     lo, hi = _neighbours(lines, acc.shape[axis])
     g = g_normal / np.expand_dims((hi - lo) * d_normal, 1 - axis)
     acc, g_t, g = (x.T if axis else x for x in (acc, g_t, g))  # lines along axis 0
     cell, n = lines[1] + 1, len(lines) // 2
-    np.subtract(g_t, g, out=g_t, where=(lo == lines)[:, None])
-    np.add(g_t, g, out=g_t, where=(hi == lines)[:, None])
+    first, last = np.flatnonzero(lo == lines), np.flatnonzero(hi == lines)
+    g_t[first] -= g[first]
+    g_t[last] += g[last]
     g_t[1:-1:2] -= g[2::2]
     g_t[2::2] += g[1:-1:2]
     for k, v, op in ((0, g_t[0::2], np.add), (cell - 1, g_t[1::2], np.add),

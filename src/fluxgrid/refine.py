@@ -14,8 +14,9 @@ init both T - T_init and J's gradient stay exactly 0 off S. Where at least
 half the pixels lie off S, refine iterates on S alone and writes the final
 field back once; elsewhere (cells 4 pixels or less along either axis put
 every pixel in S) on the whole field. Work arrays are allocated once per
-call; candidates alternate between two of them, never overwriting
-init.values or the accepted iterate, and are rejected on overflow.
+call, all row-major like the iterate's blocks; candidates alternate between
+two of them, never overwriting init.values or the accepted iterate. Since
+init is finite, a non-finite candidate has a non-finite total and is rejected.
 """
 
 from dataclasses import dataclass, field
@@ -76,8 +77,9 @@ class _Objective:
     loss's reach S, x is the field's rows and its columns of S, whose rows off
     the row block hold the side block, and stands for the field that is init
     off S: each evaluation first copies the row block's pixels in S's columns
-    into them, and each analytic gradient adds the column terms there back into
-    the row block, where the numeric one differences J along S's pixels alone.
+    into them, so elementwise passes may take x's whole (contiguous) arrays,
+    and each analytic gradient adds the column terms there back into the row
+    block, where the numeric one differences J along S's pixels alone.
     """
 
     def __init__(self, fine, init, coarse, cfg, compact=False):
@@ -100,10 +102,10 @@ class _Objective:
         self._diff = self.empty()  # T - T_init at the last evaluation
 
     def split(self, values):
-        """The iterate of a field's values."""
+        """The iterate of a field's values, each block row-major."""
         if self.reach is None:
-            return (values,)
-        return values[self.reach.rows], values[:, self.reach.cols]
+            return (np.ascontiguousarray(values),)
+        return values[self.reach.rows], values.take(self.reach.cols, axis=1)
 
     def empty(self):
         """A new iterate, its values unset."""
@@ -128,9 +130,9 @@ class _Objective:
         its pixels of the row block from it."""
         if self.reach is not None:
             x[1][self.reach.rows] = x[0].take(self._near)
-        diff = self.blocks(self._diff)
-        for d, b, b0 in zip(diff, self.blocks(x), self.blocks(self.x_init)):
+        for d, b, b0 in zip(self._diff, x, self.x_init):
             np.subtract(b, b0, out=d)
+        diff = self.blocks(self._diff)
         fid = np.einsum("ij,ij", diff[0], diff[0])
         for d in diff[1:]:
             fid += np.einsum("ijk,ijk", d, d)
@@ -155,7 +157,7 @@ class _Objective:
                     yb[idx] = orig
                     gb[idx] = (j_plus - j_minus) / (2.0 * h)
             return g
-        for gb, d in zip(self.blocks(g), self.blocks(self._diff)):
+        for gb, d in zip(g, self._diff):
             np.multiply(d, 2.0 / self.init.values.size, out=gb)
         if self.lam == 0.0:
             return g
@@ -199,19 +201,16 @@ def refine(init, coarse, cfg):
     for _ in range(cfg.max_iters):
         trace.iters_run += 1
         obj.gradient_into(grad, current)
-        if max(max(g.max(), -g.min()) for g in obj.blocks(grad)) < 1e-15:
+        if all(g.max() < 1e-15 and g.min() > -1e-15 for g in obj.blocks(grad)):  # |grad| < 1e-15
             trace.converged = True
             break
         with np.errstate(over="ignore", invalid="ignore"):  # candidates may overflow
             for k in range(31):  # initial step plus up to 30 halvings
                 step = cfg.step_size * 0.5 ** k
-                cand = obj.blocks(free)
-                for c, g, f in zip(obj.blocks(current), obj.blocks(grad), cand):
+                for c, g, f in zip(current, grad, free):
                     np.subtract(c, np.multiply(g, step, out=f), out=f)
-                if not all(np.isfinite(f).all() for f in cand):  # not a descent step
-                    continue
                 new_total, fid, result = obj(free)
-                if new_total < total:  # False for a NaN or inf total
+                if new_total < total:  # False for the NaN or inf total of a non-finite candidate
                     break
             else:  # no break: every step was rejected
                 trace.final_field = obj.field(current)

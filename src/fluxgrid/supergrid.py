@@ -28,9 +28,9 @@ Scratch that spans the grid holds it as one band, and that is how a
 FluxRatioLoss keeps the lines its adjoint needs: its first adjoint call swaps
 the scratch for whole lines. The adjoint back-propagates on them and adds
 into the rows and columns the stencils read (findiff.edge_lines_adjoint):
-each cell's first and last line and their neighbours recur one cell apart,
-so they add straight into the gradient through strided views, and a pixel
-two or more pixels away from every edge line never enters.
+each cell's edge lines and their neighbours recur one cell apart, so they
+add into the gradient through strided views, only the border lines clip a
+neighbour, and a pixel two or more pixels from every edge line never enters.
 
 The pixels that do enter are S (Reach). The kernel reads its row lines from
 a row source and its column lines from a column source, and the adjoint adds
@@ -389,7 +389,8 @@ class FluxRatioLoss:
             inv = np.divide(1.0, ln.mag + self.eps)
             g_u = inv * (g_tu * ln.t)
             radial -= np.multiply(g_u, ln.u, out=inv)
-            np.divide(radial, ln.mag, out=radial, where=ln.mag > 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                radial /= ln.mag
             radial[ln.mag == 0] = 0.0
             g_tu *= ln.u
             g_along = np.multiply(ln.g_along, radial, out=inv)

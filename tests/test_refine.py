@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fluxgrid import (Grid2D, GridPair, GrfSpec, RefineConfig, coarsen_block_mean,
-                      gen_constant, gen_grf, gradient, make_pair, objective,
-                      pde_loss, refine, upsample_quadratic)
+                      gen_constant, gen_grf, gradient, gradient_central, make_pair,
+                      objective, pde_loss, refine, upsample_quadratic)
 from fluxgrid.errors import ConvergenceStallError, DimensionMismatchError
 from fluxgrid.refine import _Objective
 from fluxgrid.supergrid import FluxRatioLoss, Reach
@@ -146,6 +146,36 @@ class TestGradient:
         g_a = gradient(fine, init, coarse, RefineConfig(**kwargs))
         g_n = gradient(fine, init, coarse,
                        RefineConfig(grad_mode="numeric_central", **kwargs))
+        assert np.abs(g_a - g_n).max() / np.abs(g_n).max() < 1e-4
+
+    # a constant plateau across cell edges puts |grad T| = 0 on some edge-line
+    # pixels and not on others, where the adjoint's radial term is 0; with eps
+    # and ratio_eps 0.1, |h| / eps stays small enough for central differences
+    @pytest.mark.parametrize("shape, scales, cell, plateau", [
+        ((24, 24), (2, 2), (4, 4), np.s_[6:15, 5:17]),  # 8x8 fine cells
+        ((32, 32), (4, 4), (2, 2), np.s_[5:20, 10:27]),
+        # one-pixel-thin cells spanning the grid: border rows 0 and 7 listed twice,
+        # the column lines on both borders
+        ((8, 6), (1, 1), (1, 6), np.s_[:4]),
+        ((8, 6), (1, 1), (1, 6), np.s_[3:, :4]),
+        ((10, 12), (1, 2), (1, 1), np.s_[2:7, 3:]),  # 1x2 fine cells
+    ])
+    def test_analytic_matches_numeric_on_a_plateau(self, shape, scales, cell, plateau):
+        rng = np.random.default_rng(7)
+        values = (gen_grf(GrfSpec(*shape, -2.5, 3)).values if min(shape) >= 16
+                  else rng.normal(size=shape))
+        values[plateau] = values[plateau].mean()
+        fine = grid(values, dx=0.6, dy=1.7)
+        init = fine.with_values(values + 0.1 * rng.normal(size=shape))
+        coarse = coarsen_block_mean(fine.with_values(rng.normal(size=shape)), *scales)
+        fine_cell = (cell[0] * scales[0], cell[1] * scales[1])
+        near = [np.isin(np.arange(n) % c, [0, c - 1]) for n, c in zip(shape, fine_cell)]
+        mag = gradient_central(fine).mag[near[0][:, None] | near[1]]  # on the edge lines
+        assert (mag == 0).any() and (mag > 0).any()
+        kwargs = dict(lambda_pde=0.9, normalize_pde=False, cell_override=cell, eps=0.1,
+                      fd_h=1e-6)
+        g_a = gradient(fine, init, coarse, RefineConfig(**kwargs))
+        g_n = gradient(fine, init, coarse, RefineConfig(grad_mode="numeric_central", **kwargs))
         assert np.abs(g_a - g_n).max() / np.abs(g_n).max() < 1e-4
 
     def test_directional_derivative_512(self):
@@ -439,6 +469,18 @@ class TestBuffers:
         refine(init, coarse, replace(cfg, max_iters=7))
         refine(first.final_field, coarse, cfg)
         assert np.array_equal(first.final_field.values, kept)
+
+    # 16x16 fine cells take S's blocks, 4x4 the whole grid; the blocks of an
+    # iterate, its work arrays and init's share one memory order, whatever init's
+    @pytest.mark.parametrize("cell, compact", [((4, 4), True), ((1, 1), False)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_iterate_is_row_major(self, cell, compact, order):
+        init, coarse = noisy_pair(19, h=64, w=64, scale=4)
+        init = init.with_values(np.asarray(init.values, order=order))
+        obj = _Objective(init, init, coarse, RefineConfig(cell_override=cell), compact=True)
+        assert (obj.reach is not None) == compact
+        for x in (obj.split(init.values), obj.x_init, obj.empty()):
+            assert len(x) == 1 + compact and all(b.flags.c_contiguous for b in x)
 
     def test_analytic_gradient_takes_the_last_evaluation(self):
         # the fidelity gradient reuses the last evaluation's T - T_init, so
