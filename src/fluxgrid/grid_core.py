@@ -158,18 +158,18 @@ def _quad_dft_1d(n_coarse, scale, half):
     return (np.fft.rfft if half else np.fft.fft)(taps.reshape(3, -1), axis=1)
 
 
-def _upsampled_dft(vals, scale, half, rows):
+def _upsampled_dft(vals, scale, half, ks, rows):
     """The DFT along axis 0 (the rfft's half if half) of
-    _upsample_axis(vals, scale, 0), from vals' own DFT through _quad_dft_1d,
-    in blocks of rows rows."""
+    _upsample_axis(vals, scale, 0) at the frequencies ks, from vals' own DFT
+    through _quad_dft_1d, in blocks of rows of them."""
     n = vals.shape[0]
     phi, lo, hi = _quad_dft_1d(n, scale, half)
     idx, wts = _quad_weights_at(n, np.array([-1.0, n]))
     ghosts = [sum(w[e] * vals[i[e]] for i, w in zip(idx, wts)) for e in (0, 1)]
     jump_lo, jump_hi = ghosts[0] - vals[-1], ghosts[1] - vals[0]
     spec = np.fft.fft(vals, axis=0)
-    for start in range(0, phi.size, rows):
-        k = np.arange(start, min(start + rows, phi.size))
+    for start in range(0, len(ks), rows):
+        k = ks[start:start + rows]
         block = spec[k % n]
         block *= phi[k, None]
         block += lo[k, None] * jump_lo
@@ -177,20 +177,25 @@ def _upsampled_dft(vals, scale, half, rows):
         yield block
 
 
-def upsampled_rfft2(coarse, scale_y, scale_x):
-    """rfft2(upsample_quadratic(coarse, scale_y, scale_x).values), yielded in
-    blocks of as many rows as fit in BLOCK_ELEMS float64 elements, from the
-    coarse grid's own DFT: the upsampled field is never built. The coarse grid is
-    taken less its first value, which is added back at DC, so that a constant
-    grid gives exactly 0 off DC."""
+def upsampled_rfft2(coarse, scale_y, scale_x, rows=None, cols=None):
+    """rfft2(upsample_quadratic(coarse, scale_y, scale_x).values)[rows, :cols],
+    every row and column by default, yielded in blocks of as many rows as fit in
+    BLOCK_ELEMS float64 elements, from the coarse grid's own DFT: the upsampled
+    field is never built, and only the columns kept are taken along x and only
+    the rows kept along y. The coarse grid is taken less its first value, which is
+    added back at DC, so that a constant grid gives exactly 0 off DC."""
     check_scales(coarse.height * scale_y, coarse.width * scale_x, scale_y, scale_x)
-    offset, width = coarse.values[0, 0], coarse.width * scale_x
+    offset, height, width = coarse.values[0, 0], coarse.height * scale_y, coarse.width * scale_x
+    rows = np.arange(height) if rows is None else rows
+    cols = width // 2 + 1 if cols is None else cols
     # x first, in one block: the rfft of each row of the grid upsampled along x
-    (along_x,) = _upsampled_dft((coarse.values - offset).T, scale_x, True, width)
-    rows = max(1, BLOCK_ELEMS // (2 * (width // 2 + 1)))  # a complex value is 2 float64s
-    blocks = _upsampled_dft(along_x.T, scale_y, False, rows)
+    (along_x,) = _upsampled_dft((coarse.values - offset).T, scale_x, True, np.arange(cols),
+                                cols)
+    step = max(1, BLOCK_ELEMS // (2 * cols))  # a complex value is 2 float64s
+    blocks = _upsampled_dft(along_x.T, scale_y, False, rows, step)
     first = next(blocks)
-    first[0, 0] += offset * coarse.height * scale_y * coarse.width * scale_x
+    if rows[0] == 0:  # DC
+        first[0, 0] += offset * height * width
     yield first
     yield from blocks
 

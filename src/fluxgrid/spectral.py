@@ -9,12 +9,17 @@ fields is the absolute difference of their fitted slopes.
 power_spectrum_2d and radial_profile keep the full k grid; ralsd bins the
 real half-spectrum (rfft2, as |F(-k)| = |F(k)|), each column weighing 2 but
 column 0 and an even width's Nyquist column: the same profile, half the work.
-It takes that rfft2 as an rfft along the rows and then an FFT down the
-columns in place (out=, numpy >= 2.0): bitwise the same, in one complex array.
-Every profile comes from one power step, _profile, fed a half-spectrum in row
-blocks: ralsd's as one block, and ralsd_upsampled_pair's upsampled coarse
-reference's block by block from grid_core.upsampled_rfft2. ralsd raises on a
-constant field: its spectrum is the Hann taper's, or untapered rounding noise.
+It takes that rfft2 as an rfft along the rows, block by block into one reused
+buffer (out=, numpy >= 2.0), and then an FFT down the columns in place:
+bitwise the same. Every profile comes from one power step, _profile, fed a
+half-spectrum in row blocks: the prediction's from _half_spectrum, and
+ralsd_upsampled_pair's upsampled coarse reference's from
+grid_core.upsampled_rfft2. ralsd_upsampled_pair takes both on one band, the
+rows and columns of the half-spectrum whose on-axis radius is at most that of
+the fit range's last bin (_band): every k of smaller radius lies in it, so its
+profiles, which end at that bin, sum the same terms in the same order as
+ralsd's. ralsd raises on a constant field: its spectrum is the Hann taper's,
+or untapered rounding noise.
 """
 
 import functools
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid_core
 from .errors import DegenerateSpectrumError, TooSmallGridError
 from .grid_core import upsample_quadratic, upsampled_rfft2
 
@@ -81,30 +87,54 @@ def radial_profile(psd, height, width):
     return _annuli(psd, height, width, half=False)
 
 
+def _radius(fy, fx, n_short):
+    """The radius bin of each k of the k grid fy x fx: |k| * n_short, rounded."""
+    r = fx * fx + fy * fy  # then in place: a metrics child builds this table cold
+    return np.rint(np.multiply(np.sqrt(r, out=r), n_short, out=r), out=r).astype(np.int64)
+
+
+def _band(height, width, top):
+    """The band of the real half-spectrum of a height x width grid whose rows and
+    columns have an on-axis radius bin of at most top, the whole of it if top is
+    None: (lead, trail, cols), its first lead and last trail rows and its first
+    cols columns. A k's radius bin is at least its row's and its column's, so the
+    band holds every k of radius at most top."""
+    if top is None:
+        return height, 0, width // 2 + 1
+    fy, n_short = np.fft.fftfreq(height), min(height, width)
+    keep = _radius(fy, 0.0, n_short) <= top  # |fy| rises, then falls
+    lead = int(np.count_nonzero(keep[:(height + 1) // 2]))
+    return (lead, int(np.count_nonzero(keep)) - lead,
+            int(np.count_nonzero(_radius(0.0, np.fft.rfftfreq(width), n_short) <= top)))
+
+
 @functools.lru_cache(maxsize=4)
-def _annulus_table(height, width, half):
+def _annulus_table(height, width, half, top=None):
     """Read-only (radius bin of each k, column weights, weighted bin counts) on the
     k grid fftfreq(height) x fftfreq(width), or x rfftfreq(width) if half, where
-    each column but 0 and an even width's Nyquist column also counts its mirror."""
-    fx = (np.fft.rfftfreq if half else np.fft.fftfreq)(width)[None, :]
-    fy = np.fft.fftfreq(height)[:, None]
-    r = fx * fx + fy * fy  # then in place: a metrics child builds this table cold
-    r = np.rint(np.multiply(np.sqrt(r, out=r), min(height, width), out=r), out=r)
-    radius = r.astype(np.int64).ravel()
+    each column but 0 and an even width's Nyquist column also counts its mirror.
+    With top (half only), on _band's rows and columns alone, with the counts of
+    the bins up to top: every k of those is in the band, in the same order."""
+    fy, fx = np.fft.fftfreq(height), (np.fft.rfftfreq if half else np.fft.fftfreq)(width)
     weights = np.full(fx.size, 1.0 + half)
     weights[0], weights[-1] = 1, 1 + half * (width % 2)
+    if half:
+        lead, trail, cols = _band(height, width, top)
+        fy, fx, weights = fy[np.r_[:lead, height - trail:height]], fx[:cols], weights[:cols]
+    radius = _radius(fy[:, None], fx[None, :], min(height, width)).ravel()
     counts = np.bincount(radius) * (1 + half)  # less 1 for each k in a column of weight 1
     for col in np.flatnonzero(weights < 1 + half):
-        counts -= np.bincount(radius.reshape(height, -1)[:, col], minlength=counts.size)
-    table = radius, weights, counts
+        counts -= np.bincount(radius.reshape(fy.size, -1)[:, col], minlength=counts.size)
+    table = radius, weights, counts[:None if top is None else top + 1]
     for arr in table:
         arr.flags.writeable = False
     return table
 
 
-def _annuli(power, height, width, half):
-    """SpectrumProfile of power, already weighted, on _annulus_table's k grid."""
-    radius, _, counts = _annulus_table(height, width, half)
+def _annuli(power, height, width, half, top=None):
+    """SpectrumProfile of power, already weighted, on _annulus_table's k grid:
+    its bins up to top if given."""
+    radius, _, counts = _annulus_table(height, width, half, top)
     n_short = min(height, width)
     sums = np.bincount(radius, power.ravel(), counts.size)
 
@@ -117,9 +147,14 @@ def _annuli(power, height, width, half):
 def default_fit_range(profile):
     """Inertial-range bins: from 4 cycles/domain up to half the Nyquist
     of the shorter axis. Returned as index positions into the profile."""
+    return _default_ends(profile, MIN_FIT_BINS)
+
+
+def _default_ends(profile, need):
+    """default_fit_range's first and last bin, which must number at least need."""
     r = np.rint(profile.k_bins * profile.n_short).astype(np.int64)
     in_range = np.nonzero((r >= 4) & (profile.k_bins <= 0.25))[0]
-    if in_range.size < MIN_FIT_BINS:
+    if in_range.size < need:
         raise DegenerateSpectrumError(
             f"only {in_range.size} bins in the default fit range; "
             f"need at least {MIN_FIT_BINS}")
@@ -145,20 +180,49 @@ def fit_slope(profile, fit_lo, fit_hi):
     return float(alpha), float(intercept)
 
 
-def _profile(blocks, height, width, fit_lo, fit_hi):
-    """The profile of a height x width grid from its real half-spectrum, given
-    as row blocks whose imag parts are overwritten: each column's power weighted
-    as _annulus_table says, then binned, with the slope fit over [fit_lo,
-    fit_hi], either of which defaults to default_fit_range's."""
-    power, row = np.empty((height, width // 2 + 1)), 0
+def _fit_top(n_short, fit_lo, fit_hi):
+    """The radius bin of the last bin of the fit range, or None where judging the
+    range takes the whole profile: an end below 0, or one past radius n_short // 2.
+    Every radius up to n_short // 2 lies on the shorter axis, so there bin i is
+    radius i + 1; a defaulted end is bin 3 or n_short // 4 - 1, default_fit_range's
+    when it has bins."""
+    ends = (3 if fit_lo is None else fit_lo, n_short // 4 - 1 if fit_hi is None else fit_hi)
+    return max(ends) + 1 if 0 <= min(ends) and max(ends) < n_short // 2 else None
+
+
+def _half_spectrum(values, top=None):
+    """rfft2(values) on _band(*values.shape, top), as row blocks of one complex
+    array: the rfft of each row block goes to one reused buffer (out=), of which
+    the band's columns are kept, and the FFT down those columns runs in place."""
+    height, width = values.shape
+    lead, trail, cols = _band(height, width, top)
+    spec = np.empty((height, cols), complex)
+    rows = max(1, grid_core.BLOCK_ELEMS // (2 * (width // 2 + 1)))  # complex: 2 float64s
+    buf = np.empty((min(rows, height), width // 2 + 1), complex)
+    for start in range(0, height, rows):
+        stop = min(start + rows, height)
+        spec[start:stop] = np.fft.rfft(values[start:stop], axis=1,
+                                       out=buf[:stop - start])[:, :cols]
+    np.fft.fft(spec, axis=0, out=spec)
+    return spec[:lead], spec[height - trail:]
+
+
+def _profile(blocks, height, width, fit_lo, fit_hi, top=None):
+    """The profile of a height x width grid from its real half-spectrum on
+    _band(height, width, top), given as row blocks whose imag parts are
+    overwritten: each column's power weighted as _annulus_table says, then binned
+    up to top, with the slope fit over [fit_lo, fit_hi]. An end left None is
+    default_fit_range's; with one end given, the range is judged as resolved."""
+    radius, weights, _ = _annulus_table(height, width, True, top)
+    power, row = np.empty((radius.size // weights.size, weights.size)), 0
     for f_hat in blocks:
         block = np.square(f_hat.real, out=power[row:row + len(f_hat)])
         block += np.square(f_hat.imag, out=f_hat.imag)
-        block *= _annulus_table(height, width, True)[1]
+        block *= weights
         row += len(f_hat)
-    profile = _annuli(power, height, width, half=True)
+    profile = _annuli(power, height, width, True, top)
     if fit_lo is None or fit_hi is None:
-        lo, hi = default_fit_range(profile)
+        lo, hi = _default_ends(profile, MIN_FIT_BINS if fit_lo is None and fit_hi is None else 1)
         fit_lo = lo if fit_lo is None else fit_lo
         fit_hi = hi if fit_hi is None else fit_hi
     profile.alpha, profile.intercept = fit_slope(profile, fit_lo, fit_hi)
@@ -166,20 +230,23 @@ def _profile(blocks, height, width, fit_lo, fit_hi):
     return profile
 
 
+def _ralsd(grid, fit_lo, fit_hi, window, top):
+    """ralsd, binned up to top (see _fit_top)."""
+    values = _spectrum_input(grid, window)
+    if np.ptp(grid.values[0]) == 0 and np.ptp(grid.values) == 0:  # row 0 settles most
+        raise DegenerateSpectrumError("zero power off DC: the grid is constant")
+    return _profile(_half_spectrum(values, top), grid.height, grid.width, fit_lo, fit_hi, top)
+
+
 def ralsd(grid, fit_lo=None, fit_hi=None, window=False):
     """Full radial profile with the slope fit attached.
 
     The profile is radial_profile(power_spectrum_2d(grid, window)), binned
-    from the real half-spectrum (rfft2, taken in place) with mirrored-column
-    weights. A constant grid raises: its spectrum is the taper's under window,
-    and untapered its FFT may leave rounding noise off DC.
+    from the real half-spectrum (rfft2, its column FFT in place) with
+    mirrored-column weights. A constant grid raises: its spectrum is the taper's
+    under window, and untapered its FFT may leave rounding noise off DC.
     """
-    values = _spectrum_input(grid, window)
-    if np.ptp(grid.values) == 0:
-        raise DegenerateSpectrumError("zero power off DC: the grid is constant")
-    f_hat = np.fft.rfft(values, axis=1)  # rfft2, in one array
-    np.fft.fft(f_hat, axis=0, out=f_hat)
-    return _profile([f_hat], grid.height, grid.width, fit_lo, fit_hi)
+    return _ralsd(grid, fit_lo, fit_hi, window, None)
 
 
 def _named(label, func, *args):
@@ -203,20 +270,28 @@ def ralsd_pair(pred, ref, fit_lo=None, fit_hi=None, window=False):
 
 def ralsd_upsampled_pair(pair, fit_lo=None, fit_hi=None, window=False):
     """ralsd_pair(pair.fine, upsample_quadratic(pair.coarse, pair.scale_y,
-    pair.scale_x), fit_lo, fit_hi, window). Untapered, the reference's
-    half-spectrum comes block by block from the coarse grid's own DFT
-    (grid_core.upsampled_rfft2), so neither the upsampled field nor its
-    complex spectrum is built; a Hann taper breaks the polyphase structure
-    that rests on, so window=True upsamples. A constant coarse grid, whose taper
-    would give the reference the taper's slope (and whose upsampled field is
-    constant only to rounding), takes the untapered path, exactly 0 off DC."""
+    pair.scale_x), fit_lo, fit_hi, window), with both profiles ending at the fit
+    range's last bin. Untapered, both spectra are taken on the band of rows and
+    columns that bin reaches (_band, _fit_top), bitwise on those bins: the
+    prediction's through _half_spectrum, and the reference's block by block from
+    the coarse grid's own DFT (grid_core.upsampled_rfft2), so neither the
+    upsampled field nor a whole complex spectrum is built. A range that takes the
+    whole profile to judge, or window=True, bins every radius; a Hann taper breaks
+    the polyphase structure the reference rests on, so window=True upsamples. A
+    constant coarse grid, whose taper would give the reference the taper's slope
+    (and whose upsampled field is constant only to rounding), takes the untapered
+    path, exactly 0 off DC."""
     fine, coarse, scales = pair.fine, pair.coarse, (pair.scale_y, pair.scale_x)
-    p_pred = _named("pred", ralsd, fine, fit_lo, fit_hi, window)
+    top = None if window else _fit_top(min(fine.height, fine.width), fit_lo, fit_hi)
+    p_pred = _named("pred", _ralsd, fine, fit_lo, fit_hi, window, top)
     if window and np.ptp(coarse.values) > 0:
         return p_pred, _named("ref", ralsd, upsample_quadratic(coarse, *scales),
                               p_pred.fit_lo, p_pred.fit_hi, window)
-    return p_pred, _named("ref", _profile, upsampled_rfft2(coarse, *scales), fine.height,
-                          fine.width, p_pred.fit_lo, p_pred.fit_hi)
+    lead, trail, cols = _band(fine.height, fine.width, top)
+    blocks = upsampled_rfft2(coarse, *scales, np.r_[:lead, fine.height - trail:fine.height],
+                             cols)
+    return p_pred, _named("ref", _profile, blocks, fine.height, fine.width, p_pred.fit_lo,
+                          p_pred.fit_hi, top)
 
 
 def spectral_loss(pred, ref, fit_lo=None, fit_hi=None, window=False):

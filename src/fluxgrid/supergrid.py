@@ -11,9 +11,10 @@ the flux-ratio evaluation metric.
 The fluxes read the field and its gradient on cell edges only, so both
 are evaluated on the edge lines alone: each cell row's first and then its
 last row, cell row by cell row, and the same for columns (a one-pixel-thin
-cell lists its line twice), with findiff.line_gradient, gradient_central's
-stencils on those lines (25% of the pixels, once per direction, at 16x16).
-Per-cell sums add up each cell's stretch of its lines.
+cell lists its one line once, and its sums count it twice), with
+findiff.line_gradient, gradient_central's stencils on those lines (25% of the
+pixels, once per direction, at 16x16). Per-cell sums add up each cell's
+stretch of its lines.
 
 One private kernel, _fluxes, walks the grid once, in bands of cell rows. A
 band's line quantities (t, the two derivatives, |grad T| and u) live in
@@ -41,7 +42,7 @@ the same values either way.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,18 +148,20 @@ class _EdgeLines:
 
     lines indexes them in the source _fluxes last read them from: a source
     holds as many lines of each cell as of any other, in order, so lines lists
-    each cell's first line and then its last line, cell by cell, and a
-    one-pixel-thin cell lists its line twice. Arrays on the lines (and their
-    per-cell sums) hold first lines at even and last lines at odd positions
-    along axis. For one band of cell rows at a time, _fluxes fills both axes'
-    t (less its cell's boundary mean with anomaly), g_along, g_normal, mag and
-    u (the normal component of the unit vector); d holds the spacings along
-    and across, cell_len a cell's extent along a line. The arrays hold one
-    band: the whole lines if it spans the grid.
+    each cell's first line and then its last line, cell by cell. Arrays on the
+    lines (and their per-cell sums) hold first lines at even and last lines at
+    odd positions along axis. Where the cells are one pixel thin across the
+    lines, per_cell is 1: each cell's one line is its first and its last, and
+    it is listed, filled and summed once. For one band of cell rows at a time,
+    _fluxes fills both axes' t (less its cell's boundary mean with anomaly),
+    g_along, g_normal, mag and u (the normal component of the unit vector); d
+    holds the spacings along and across, cell_len a cell's extent along a line.
+    The arrays hold one band: the whole lines if it spans the grid.
     """
 
     axis: int
     cell_len: int
+    per_cell: int
     t: np.ndarray
     g_along: np.ndarray
     g_normal: np.ndarray
@@ -172,15 +175,16 @@ def _line_tables(part, band=None):
     """The _EdgeLines of part along each axis, with arrays for bands of band
     cell rows: by default as many as fit in about grid_core.BLOCK_ELEMS elements
     per array, the column lines with a halo row either side."""
-    n_cols, cell_h = part.n_cols, part.cell_h
+    n_cols, cell_h, cell_w = part.n_cols, part.cell_h, part.cell_w
     if band is None:
-        band = max(1, grid_core.BLOCK_ELEMS // (2 * n_cols * max(part.cell_w, cell_h)))
+        band = max(1, grid_core.BLOCK_ELEMS // (2 * n_cols * max(cell_w, cell_h)))
     band = min(band, part.n_rows)
     halo = 2 if band < part.n_rows else 0
-    return [_EdgeLines(axis, cell_len, *(np.empty(shape) for _ in range(5)))
-            for axis, cell_len, shape in (
-                (0, part.cell_w, (2 * band, n_cols * part.cell_w)),
-                (1, cell_h, (band * cell_h + halo, 2 * n_cols)))]
+    k0, k1 = 1 + (cell_h > 1), 1 + (cell_w > 1)  # lines of a cell: one if it is thin
+    return [_EdgeLines(axis, cell_len, k, *(np.empty(shape) for _ in range(5)))
+            for axis, cell_len, k, shape in (
+                (0, cell_w, k0, (k0 * band, n_cols * cell_w)),
+                (1, cell_h, k1, (band * cell_h + halo, k1 * n_cols)))]
 
 
 def _bands(part, lines, rows, cols):
@@ -189,13 +193,14 @@ def _bands(part, lines, rows, cols):
     axis's source (rows, cols) with a halo row either side within it, sel its
     lines indexed in slab, n the array rows they fill and own those of the band
     itself."""
-    band, cell_h, per_cell = len(lines[0].t) // 2, part.cell_h, lines[0].lines[1] + 1
+    k, cell_h, per_cell = lines[0].per_cell, part.cell_h, len(rows) // part.n_rows
+    band = len(lines[0].t) // k
     for c0 in range(0, part.n_rows, band):
         c1 = min(c0 + band, part.n_rows)
         r0, r1 = max(c0 * per_cell - 1, 0), min(c1 * per_cell + 1, len(rows))
         lo, hi = max(c0 * cell_h - 1, 0), min(c1 * cell_h + 1, len(cols))
         yield slice(c0, c1), (
-            (lines[0], rows[r0:r1], lines[0].lines[2 * c0:2 * c1] - r0, 2 * (c1 - c0),
+            (lines[0], rows[r0:r1], lines[0].lines[k * c0:k * c1] - r0, k * (c1 - c0),
              slice(None)),
             (lines[1], cols[lo:hi], lines[1].lines, hi - lo,
              slice(c0 * cell_h - lo, c1 * cell_h - lo)))
@@ -216,13 +221,15 @@ def _line_sums(ln, *xs):
     return np.einsum(",".join(["ijk"] * len(xs)) + ("->ij" if ln.axis == 0 else "->ik"), *xs)
 
 
-def _boundary_mean(part, sums, outward=False):
+def _boundary_mean(part, lines, sums, outward=False):
     """Per-cell mean over the four edges of a quantity, from its _line_sums on
     the horizontal and vertical lines. With outward, the first line of a cell
-    (top, left; outward normal -y, -x) counts negated."""
+    (top, left; outward normal -y, -x) counts negated. A thin cell's one line
+    counts as both: last - first is exactly 0, and last + first twice it."""
     means = []
-    for axis, s in enumerate(sums):  # first lines at even, last lines at odd positions
-        first, last = (s[0::2], s[1::2]) if axis == 0 else (s[:, 0::2], s[:, 1::2])
+    for ln, s in zip(lines, sums):  # first lines at even, last lines at odd positions
+        k = ln.per_cell
+        first, last = (s[::k], s[k - 1::k]) if ln.axis == 0 else (s[:, ::k], s[:, k - 1::k])
         means.append(last - first if outward else last + first)
     return (means[0] + means[1]) / (2 * (part.cell_h + part.cell_w))
 
@@ -230,7 +237,8 @@ def _boundary_mean(part, sums, outward=False):
 def _boundary_mean_adjoint(part, lines, per_cell, outward=False):
     """Adjoint of _boundary_mean: for each axis of lines in turn, the gradient
     on its lines of a function of it whose gradient with respect to the
-    per-cell means is per_cell."""
+    per-cell means is per_cell, on each cell's first and last line, a thin
+    cell's one line taken twice."""
     per_cell = per_cell / (2 * (part.cell_h + part.cell_w))
     first = -per_cell if outward else per_cell
     # interleaved along axis like the line sums, then over each cell's stretch
@@ -251,7 +259,7 @@ def _fluxes(part, lines, rows, cols, dx, dy, eps, ratio_eps, anomaly=False):
     """
     for ln, src, n in zip(lines, (rows, cols), (part.n_rows, part.n_cols)):
         per_cell = src.shape[ln.axis] // n
-        ln.lines = (np.arange(n)[:, None] * per_cell + [0, per_cell - 1]).ravel()
+        ln.lines = (np.arange(n)[:, None] * per_cell + [0, per_cell - 1][:ln.per_cell]).ravel()
     lines[0].d, lines[1].d = (dx, dy), (dy, dx)
     phi_adv, phi_diff = np.empty((2, part.n_rows, part.n_cols))
     for cells, axes in _bands(part, lines, rows, cols):
@@ -267,11 +275,11 @@ def _fluxes(part, lines, rows, cols, dx, dy, eps, ratio_eps, anomaly=False):
             band.append([_cells(ln, x[own]) for x in (t, u, mag)])
         t, u, mag = zip(*band)  # one view per axis, of the band's own rows
         if anomaly:
-            t_mean = _boundary_mean(part, map(_line_sums, lines, t))
+            t_mean = _boundary_mean(part, lines, map(_line_sums, lines, t))
             for ln, x in zip(lines, t):
-                x -= np.expand_dims(np.repeat(t_mean, 2, ln.axis), 2 - ln.axis)
-        phi_adv[cells] = _boundary_mean(part, map(_line_sums, lines, t, u), outward=True)
-        phi_diff[cells] = _boundary_mean(part, map(_line_sums, lines, mag))
+                x -= np.expand_dims(np.repeat(t_mean, ln.per_cell, ln.axis), 2 - ln.axis)
+        phi_adv[cells] = _boundary_mean(part, lines, map(_line_sums, lines, t, u), outward=True)
+        phi_diff[cells] = _boundary_mean(part, lines, map(_line_sums, lines, mag))
     r_eff = phi_adv / (phi_diff + ratio_eps)
     return FluxReport(phi_adv=phi_adv, phi_diff=phi_diff, r_eff=r_eff)
 
@@ -372,7 +380,7 @@ class FluxRatioLoss:
             if target.shape != source.shape:
                 raise DimensionMismatchError(
                     f"{name} has shape {target.shape}, the field's source {source.shape}")
-        if len(self._lines[0].t) < 2 * part.n_rows:  # keep whole lines from now on
+        if len(self._lines[0].t) < self._lines[0].per_cell * part.n_rows:  # keep whole lines
             self._lines = _line_tables(part, part.n_rows)
             self.forward_blocks(*self._sources)
         lines = self._lines
@@ -383,6 +391,10 @@ class FluxRatioLoss:
         g_mag = _boundary_mean_adjoint(part, lines, -g_r * rep.phi_adv / denom ** 2)
 
         for ln, acc, g_tu, radial in zip(lines, (out, cols), g_adv, g_mag):
+            if ln.per_cell == 1:  # a thin cell's one line, as its first and its last
+                ln = replace(ln, lines=np.repeat(ln.lines, 2), **{
+                    k: np.repeat(getattr(ln, k), 2, ln.axis)
+                    for k in ("t", "g_along", "g_normal", "mag", "u")})
             # back through u = g_normal / (|grad T| + eps) and |grad T|:
             # (g_along, g_normal) gets grad T * radial plus inv * g_u on g_normal,
             # radial = (g_mag - inv * g_u * u) / |grad T|, 0 where |grad T| = 0

@@ -438,6 +438,24 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class TestMetricsHalfGivenFitRange:
+    @pytest.mark.parametrize("fit, code", [([], 4), (["--fit-hi", "8"], 0),
+                                           (["--fit-lo", "3"], 2)])
+    def test_exit_codes(self, tmp_path, capsys, fit, code):
+        # 16x16: the default fit range holds one bin, so only a range given at
+        # one end or both can be fitted
+        fp, cp = write_pair(tmp_path, h=16, w=16)
+        out = tmp_path / "report.json"
+        assert main(["metrics", str(fp), str(fp), str(cp), "--cell", "2x2", *fit,
+                     "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code == 0:
+            assert json.loads(out.read_text())["spectral"]["fit_range"] == [3, 8]
+        else:
+            assert capsys.readouterr().err.startswith(
+                "error: pred grid: only 1 bins" if code == 4 else "error: fit range [3, 3]")
+
+
 class TestMetricsCsvTruthWorker:
     """A CSV truth is parsed in a forked worker; the report, the errors and
     their order are the serial load's, and no worker outlives the command."""
@@ -790,6 +808,23 @@ class TestRalsd:
         assert main(["ralsd", str(small)]) == 4
         assert capsys.readouterr().err == (
             "error: only 0 bins in the default fit range; need at least 4\n")
+
+    @pytest.mark.parametrize("n, fit, code, err", [
+        (16, [], 4, "error: only 1 bins in the default fit range; need at least 4\n"),
+        (16, ["--fit-hi", "8"], 0, ""),
+        (16, ["--fit-lo", "3"], 2, "error: fit range [3, 3] has fewer than 4 bins\n"),
+        (12, ["--fit-hi", "5"], 4,
+         "error: only 0 bins in the default fit range; need at least 4\n")])
+    def test_half_given_fit_range(self, tmp_path, capsys, n, fit, code, err):
+        # one end given: the range is judged as resolved, [3, 8] and [3, 3] at 16x16;
+        # at 12x12 the defaulted end has no bin
+        path = tmp_path / "grid.csv"
+        write_csv(Grid2D.from_values(np.random.default_rng(n).normal(size=(n, n))), path)
+        assert main(["ralsd", str(path), *fit]) == code
+        out, got = capsys.readouterr()
+        assert got == err
+        if code == 0:
+            assert out.endswith("fit_bins=[3,8]\n")
 
     def test_non_utf8_csv_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

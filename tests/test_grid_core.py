@@ -147,6 +147,20 @@ class TestUpsampledRfft2:
         assert all(len(b) == rows for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= rows
         np.testing.assert_allclose(np.concatenate(blocks), want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dims, scales", [((16, 16), (4, 4)), ((9, 4), (3, 5)),
+                                              ((7, 13), (2, 1)), ((5, 9), (1, 1))])
+    def test_a_band_is_the_same_slice_of_the_whole(self, monkeypatch, dims, scales):
+        # bitwise: each emitted row and column is computed as in the whole transform
+        c = grid(np.random.default_rng(dims[0] * dims[1]).normal(size=dims) + 3.0)
+        height, width = dims[0] * scales[0], dims[1] * scales[1]
+        whole = np.concatenate(list(upsampled_rfft2(c, *scales)))
+        for lead, trail, cols in ((height // 3, height // 4, width // 5 + 1), (1, 0, 1),
+                                  (height, 0, width // 2 + 1), (2, height - 2, 3)):
+            rows = np.r_[:lead, height - trail:height]
+            monkeypatch.setattr(grid_core, "BLOCK_ELEMS", 2 * cols * 3)  # blocks of 3 rows
+            got = np.concatenate(list(upsampled_rfft2(c, *scales, rows, cols)))
+            assert np.array_equal(got, whole[rows, :cols])
+
     @pytest.mark.parametrize("value", [2.5, 7.0, 288.15, -0.1])
     @pytest.mark.parametrize("scales", [(3, 3), (4, 4), (5, 5), (2, 3)])
     @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (16, 16), (5, 7)])

@@ -1,9 +1,13 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fluxgrid import (Grid2D, GridPair, GrfSpec, coarsen_block_mean, default_fit_range,
                       fit_slope, gen_grf, power_spectrum_2d, radial_profile, ralsd,
                       spectral_loss, upsample_quadratic)
+from fluxgrid import spectral
 from fluxgrid.errors import DegenerateSpectrumError, TooSmallGridError
 from fluxgrid.spectral import (SpectrumProfile, _annuli, _annulus_table, _profile,
                                ralsd_pair, ralsd_upsampled_pair)
@@ -273,11 +277,85 @@ def test_empty_fit_range_is_named_empty():
         fit_slope(prof, 30, 5)
 
 
+class TestHalfGivenFitRange:
+    """One end given: the other is default_fit_range's, and the range is judged as
+    resolved, by fit_slope's own checks."""
+
+    def test_fits_where_the_default_range_is_too_short(self):
+        g = gen_grf(GrfSpec(16, 16, -2.5, 0))  # the default range is radius 4 alone
+        with pytest.raises(DegenerateSpectrumError,
+                           match=r"^only 1 bins in the default fit range; need at least 4$"):
+            ralsd(g)
+        got, want = ralsd(g, None, 8), ralsd(g, 3, 8)
+        assert (got.fit_lo, got.fit_hi) == (3, 8)
+        assert (got.alpha, got.intercept) == (want.alpha, want.intercept)
+        got = ralsd(g, 0, None)
+        assert (got.fit_lo, got.fit_hi) == (0, 3)
+        with pytest.raises(ValueError, match=r"^fit range \[3, 3\] has fewer than 4 bins$"):
+            ralsd(g, 3, None)
+
+    @pytest.mark.parametrize("fit", [(None, 5), (0, None)])
+    def test_a_default_end_with_no_bin_is_degenerate(self, fit):
+        g = grid(np.random.default_rng(0).normal(size=(12, 12)))  # no bin from radius 4 to 3
+        with pytest.raises(DegenerateSpectrumError,
+                           match=r"^only 0 bins in the default fit range; need at least 4$"):
+            ralsd(g, *fit)
+
+    def test_upsampled_pair_takes_the_same_range(self):
+        pair = upsampled_pair((32, 32), (2, 2), 1)  # the default range: radii 4 to 8
+        got = ralsd_upsampled_pair(pair, None, 12)
+        want = ralsd_pair(pair.fine, upsample_quadratic(pair.coarse, 2, 2), 3, 12)
+        for g, w in zip(got, want):
+            assert (g.fit_lo, g.fit_hi) == (w.fit_lo, w.fit_hi) == (3, 12)
+        assert got[0].alpha == want[0].alpha
+
 
 def upsampled_pair(shape, scales, seed):
     fine = gen_grf(GrfSpec(*shape, -2.5, seed))
     noisy = fine.with_values(fine.values + 0.1 * np.random.default_rng(seed).normal(size=shape))
     return GridPair(coarsen_block_mean(fine, *scales), noisy, *scales)
+
+
+def band_cases():
+    """(shape, scales, fit) over odd, anisotropic and prime-sided grids: the default
+    range, (2, 9), an end at n_short // 2 - 1 (the band), one at n_short // 2 (the
+    whole half-spectrum), one outside the bins and ranges given at one end."""
+    shapes = [((64, 64), (4, 4)), ((96, 60), (3, 2)), ((45, 63), (5, 3)), ((37, 41), (1, 1)),
+              ((51, 34), (3, 2)), ((29, 58), (1, 2)), ((53, 106), (1, 2))]
+    for shape, scales in shapes:
+        half = min(shape) // 2
+        for fit in [(None, None), (2, 9), (2, half - 1), (half - 1, 2), (2, half), (2, 5000),
+                    (None, half - 1), (2, None)]:
+            yield shape, scales, fit
+
+
+def assert_matches_ralsd_pair(shape, scales, fit):
+    """ralsd_upsampled_pair against ralsd_pair of the upsampled grid over the bins
+    it returns: its profiles end at the fit range's last bin, or bin every radius
+    where judging the range takes the whole profile."""
+    pair = upsampled_pair(shape, scales, sum(shape))
+    ref = upsample_quadratic(pair.coarse, *scales)
+    try:
+        want = ralsd_pair(pair.fine, ref, *fit)
+    except ValueError as exc:  # the same message, from the whole profile
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            ralsd_upsampled_pair(pair, *fit)
+        return
+    got = ralsd_upsampled_pair(pair, *fit)
+    n_short = min(shape)
+    top = max(want[0].fit_lo, want[0].fit_hi) + 1
+    if top > n_short // 2:  # the whole half-spectrum
+        top = len(want[0].psi)
+    for g, w in zip(got, want):
+        assert (g.fit_lo, g.fit_hi, g.n_short) == (w.fit_lo, w.fit_hi, n_short)
+        assert len(g.psi) == top
+        np.testing.assert_array_equal(g.k_bins, w.k_bins[:top])
+        np.testing.assert_array_equal(g.counts, w.counts[:top])
+    np.testing.assert_array_equal(got[0].psi, want[0].psi[:top])  # pred's is ralsd's own
+    assert (got[0].alpha, got[0].intercept) == (want[0].alpha, want[0].intercept)
+    np.testing.assert_allclose(got[1].psi, want[1].psi[:top], rtol=1e-12)
+    assert got[1].alpha == pytest.approx(want[1].alpha, rel=1e-12)
+    assert got[1].intercept == pytest.approx(want[1].intercept, rel=1e-12)
 
 
 class TestRalsdUpsampledPair:
@@ -286,19 +364,37 @@ class TestRalsdUpsampledPair:
                                               ((45, 63), (5, 3)), ((40, 40), (1, 1)),
                                               ((32, 64), (16, 32))])
     def test_matches_ralsd_pair_of_the_upsampled_grid(self, shape, scales, fit):
-        pair = upsampled_pair(shape, scales, sum(shape))
-        ref = upsample_quadratic(pair.coarse, *scales)
-        want = ralsd_pair(pair.fine, ref, *fit)
+        assert_matches_ralsd_pair(shape, scales, fit)
+
+    @pytest.mark.parametrize("shape,scales,fit", band_cases())
+    def test_profiles_end_at_the_fit_range(self, shape, scales, fit):
+        assert_matches_ralsd_pair(shape, scales, fit)
+
+    @pytest.mark.parametrize("shape,scales,fit", [((256, 256), (4, 4), (None, None)),
+                                                  ((96, 60), (3, 2), (2, 9))])
+    def test_bins_only_the_band(self, shape, scales, fit):
+        # rows and columns past the fit range's last bin never reach the power step
+        pair = upsampled_pair(shape, scales, 5)
         got = ralsd_upsampled_pair(pair, *fit)
-        np.testing.assert_array_equal(got[0].psi, want[0].psi)  # pred's is ralsd's own
-        assert (got[0].alpha, got[0].fit_lo, got[0].fit_hi) == (
-            want[0].alpha, want[0].fit_lo, want[0].fit_hi)
-        np.testing.assert_array_equal(got[1].k_bins, want[1].k_bins)
-        np.testing.assert_array_equal(got[1].counts, want[1].counts)
-        np.testing.assert_allclose(got[1].psi, want[1].psi, rtol=1e-12)
-        assert (got[1].fit_lo, got[1].fit_hi) == (want[1].fit_lo, want[1].fit_hi)
-        assert got[1].alpha == pytest.approx(want[1].alpha, rel=1e-12)
-        assert got[1].intercept == pytest.approx(want[1].intercept, rel=1e-12)
+        top = max(got[0].fit_lo, got[0].fit_hi) + 1
+        lead, trail, cols = spectral._band(*shape, top)
+        assert (lead + trail) * cols < 0.3 * shape[0] * (shape[1] // 2 + 1)
+        radius = spectral._annulus_table(*shape, True, top)[0]
+        assert radius.size == (lead + trail) * cols and radius.max() > top
+
+    def test_spectral_stage_peak_memory(self):
+        # below one complex half-spectrum of the prediction, which it never makes
+        # whole; at 256^2 numpy's ufunc buffers (8192 elements an operand) and the
+        # reference's blocks, of a fixed size, would outweigh it
+        pair = upsampled_pair((512, 512), (4, 4), 3)
+        ralsd_upsampled_pair(pair)  # the tables are cached: count the spectra alone
+        tracemalloc.start()
+        try:
+            ralsd_upsampled_pair(pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * (512 // 2 + 1) * 16
 
     def test_window_upsamples_bit_for_bit(self):
         pair = upsampled_pair((48, 48), (3, 3), 2)
@@ -316,6 +412,17 @@ class TestRalsdUpsampledPair:
         pair.coarse = grid(np.full((16, 16), 288.15))
         with pytest.raises(DegenerateSpectrumError, match="^ref grid: zero power"):
             ralsd_upsampled_pair(pair, window=window)
+
+    @pytest.mark.parametrize("fit", [(2, 9), (2, 23), (2, 24), (None, 20)])
+    def test_degenerate_grids_are_named_on_the_band_and_off_it(self, fit):
+        # 48x48: bin 23 is radius 24 = n_short // 2, the band's last; bin 24 takes it whole
+        pair = upsampled_pair((48, 48), (3, 3), 0)
+        pair.coarse = grid(np.full((16, 16), 288.15))
+        with pytest.raises(DegenerateSpectrumError, match="^ref grid: zero power"):
+            ralsd_upsampled_pair(pair, *fit)
+        pair.fine = grid(np.full((48, 48), 7.0))
+        with pytest.raises(DegenerateSpectrumError, match="^pred grid: zero power off DC"):
+            ralsd_upsampled_pair(pair, *fit)
 
     def test_a_constant_prediction_names_pred(self):
         pair = upsampled_pair((32, 32), (4, 4), 0)

@@ -5,7 +5,8 @@ import pytest
 
 from fluxgrid import (AdvDiffSpec, Grid2D, GridPair, RefineConfig, build_partition,
                       cell_fluxes, choose_supergrid, coarsen_block_mean, gen_grf, GrfSpec,
-                      make_pair, pde_loss, refine, step_advdiff, upsample_quadratic)
+                      gradient_central, make_pair, pde_loss, refine, step_advdiff,
+                      upsample_quadratic)
 from fluxgrid.errors import DimensionMismatchError
 from fluxgrid import grid_core, supergrid
 from fluxgrid.supergrid import FluxRatioLoss
@@ -135,6 +136,37 @@ class TestCellFluxes:
         part = build_partition(grid(np.zeros((4, 4))), 2, 2)
         with pytest.raises(DimensionMismatchError):
             cell_fluxes(grid(np.zeros((6, 6))), part, eps=1e-6)
+
+
+class TestThinCells:
+    """A cell one pixel thin across an axis's lines has one line there, its first
+    and its last: it is listed and filled once and counts twice in the sums."""
+
+    @pytest.mark.parametrize("shape, cell", [((12, 10), (1, 1)), ((12, 10), (1, 5)),
+                                             ((12, 10), (4, 1)), ((9, 16), (1, 16)),
+                                             ((9, 16), (9, 1)), ((8, 6), (1, 2))])
+    def test_matches_the_loop_oracle_with_each_line_once(self, shape, cell):
+        rep = assert_matches_oracle(shape, cell, seed=sum(shape) + cell[1])
+        if cell == (1, 1):
+            assert not rep.phi_adv.any()
+        g = grid(np.random.default_rng(1).normal(size=shape))
+        pair = GridPair(coarsen_block_mean(g, 1, 1), g, 1, 1)
+        loss = FluxRatioLoss(pair, cell_override=cell)
+        loss.forward(g)
+        for ln, n, c in zip(loss._lines, shape, cell):
+            want = np.arange(0, n, c)
+            if c > 1:
+                want = np.column_stack([want, want + c - 1]).ravel()
+            assert np.array_equal(ln.lines, want)
+            assert ln.per_cell == 1 + (c > 1)
+
+    def test_one_pixel_cells_take_the_gradient_magnitude(self):
+        # every edge of a 1x1 cell is its one pixel: phi_diff is |grad T| there,
+        # bitwise, and the outward normals cancel exactly
+        g = grid(np.random.default_rng(2).normal(size=(64, 48)), dx=0.7, dy=1.3)
+        rep = cell_fluxes(g, build_partition(g, 1, 1))
+        assert not rep.phi_adv.any()
+        assert np.array_equal(rep.phi_diff, gradient_central(g).mag)
 
 
 class TestPdeLoss:
@@ -404,7 +436,8 @@ class TestBands:
         part = build_partition(g, *cell)
         want = {a: cell_fluxes(g, part, eps=1e-6, anomaly=a) for a in (False, True)}
         monkeypatch.setattr(grid_core, "BLOCK_ELEMS", rows * 2 * part.n_cols * max(cell))
-        assert len(supergrid._line_tables(part)[0].t) == 2 * rows
+        ln = supergrid._line_tables(part)[0]  # a thin cell's one line once, others' two
+        assert len(ln.t) == ln.per_cell * rows
         for anomaly in (False, True):
             rep = cell_fluxes(g, part, eps=1e-6, anomaly=anomaly)
             oracle = oracle_cell_fluxes(vals.tolist(), 0.7, 1.3, *cell, 1e-6, anomaly=anomaly)
