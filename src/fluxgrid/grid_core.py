@@ -182,8 +182,9 @@ def upsampled_rfft2(coarse, scale_y, scale_x, rows=None, cols=None):
     every row and column by default, yielded in blocks of as many rows as fit in
     BLOCK_ELEMS float64 elements, from the coarse grid's own DFT: the upsampled
     field is never built, and only the columns kept are taken along x and only
-    the rows kept along y. The coarse grid is taken less its first value, which is
-    added back at DC, so that a constant grid gives exactly 0 off DC."""
+    the rows kept along y. The coarse grid is taken less its first value, added back
+    at DC, so that the DFTs round at the scale of its variation, not of its level,
+    and a constant grid gives exactly 0 off DC."""
     check_scales(coarse.height * scale_y, coarse.width * scale_x, scale_y, scale_x)
     offset, height, width = coarse.values[0, 0], coarse.height * scale_y, coarse.width * scale_x
     rows = np.arange(height) if rows is None else rows

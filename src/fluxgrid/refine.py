@@ -14,7 +14,7 @@ init both T - T_init and J's gradient stay exactly 0 off S. Where at least
 half the pixels lie off S, refine iterates on S alone and writes the final
 field back once; elsewhere (cells 4 pixels or less along either axis put
 every pixel in S) on the whole field. Work arrays are allocated once per
-call, all row-major like the iterate's blocks; candidates alternate between
+call, all row-major like the iterate's arrays; candidates alternate between
 two of them, never overwriting init.values or the accepted iterate. Since
 init is finite, a non-finite candidate has a non-finite total and is rejected.
 """
@@ -74,12 +74,12 @@ class _Objective:
     J is evaluated at an iterate x, the sources the flux loss reads its row and
     its column lines from (supergrid.Reach), x[0] and x[-1]. Of a whole field x
     is (its values,). With compact, where at least half the pixels lie off the
-    loss's reach S, x is the field's rows and its columns of S, whose rows off
-    the row block hold the side block, and stands for the field that is init
-    off S: each evaluation first copies the row block's pixels in S's columns
-    into them, so elementwise passes may take x's whole (contiguous) arrays,
-    and each analytic gradient adds the column terms there back into the row
-    block, where the numeric one differences J along S's pixels alone.
+    loss's reach S, x is the field's rows and its columns of S and stands for
+    the field that is init off S. The column source's rows of the row block are
+    scratch, a second copy of pixels the row block holds: each evaluation first
+    rewrites them from the row block and sets them to 0 in T - T_init, and each
+    analytic gradient adds its column terms there into the row block and then
+    sets them to 0, so every pass may take x's whole (contiguous) arrays.
     """
 
     def __init__(self, fine, init, coarse, cfg, compact=False):
@@ -102,7 +102,7 @@ class _Objective:
         self._diff = self.empty()  # T - T_init at the last evaluation
 
     def split(self, values):
-        """The iterate of a field's values, each block row-major."""
+        """The iterate of a field's values, each array row-major."""
         if self.reach is None:
             return (np.ascontiguousarray(values),)
         return values[self.reach.rows], values.take(self.reach.cols, axis=1)
@@ -110,11 +110,6 @@ class _Objective:
     def empty(self):
         """A new iterate, its values unset."""
         return tuple(np.empty(b.shape) for b in self.x_init)
-
-    def blocks(self, x):
-        """The blocks of x, which hold each pixel it stands for once: its row
-        block, then its side block, a view."""
-        return [x[0], *(self.reach.side(c) for c in x[1:])]
 
     def field(self, x):
         """The field x stands for, as a checked Grid2D."""
@@ -128,15 +123,12 @@ class _Objective:
     def __call__(self, x):
         """(total, fidelity, PdeLossResult) at x, whose column source first takes
         its pixels of the row block from it."""
-        if self.reach is not None:
-            x[1][self.reach.rows] = x[0].take(self._near)
         for d, b, b0 in zip(self._diff, x, self.x_init):
             np.subtract(b, b0, out=d)
-        diff = self.blocks(self._diff)
-        fid = np.einsum("ij,ij", diff[0], diff[0])
-        for d in diff[1:]:
-            fid += np.einsum("ijk,ijk", d, d)
-        fid = float(fid / self.init.values.size)
+        if self.reach is not None:
+            x[1][self.reach.rows] = x[0].take(self._near)
+            self._diff[1][self.reach.rows] = 0.0
+        fid = float(sum(np.einsum("ij,ij", d, d) for d in self._diff) / self.init.values.size)
         result = self.flux.forward_blocks(x[0], x[-1])
         return fid + self.lam * result.loss, fid, result
 
@@ -144,10 +136,11 @@ class _Objective:
         """J's gradient at x, in g, an iterate of empty(). The analytic one scales
         the last evaluation's T - T_init and back-propagates its flux loss, so that
         evaluation must have been at x; the numeric one differences J along each
-        pixel of x's blocks, leaving g's column source off them unset."""
+        pixel of x, exactly 0 on the column source's scratch, which every
+        evaluation overwrites."""
         if self.cfg.grad_mode == "numeric_central":
             h, y = self.cfg.fd_h, [b.copy() for b in x]
-            for gb, yb in zip(self.blocks(g), self.blocks(y)):
+            for gb, yb in zip(g, y):
                 for idx in np.ndindex(yb.shape):
                     orig = yb[idx]
                     yb[idx] = orig + h
@@ -161,11 +154,10 @@ class _Objective:
             np.multiply(d, 2.0 / self.init.values.size, out=gb)
         if self.lam == 0.0:
             return g
-        if self.reach is not None:
-            g[1][self.reach.rows] = 0.0
         self.flux.adjoint(g[0], scale=self.lam, cols=g[-1])
         if self.reach is not None:  # the column terms on the row block's pixels
             g[0].reshape(-1)[self._near] += g[1][self.reach.rows]
+            g[1][self.reach.rows] = 0.0
         return g
 
 
@@ -201,7 +193,7 @@ def refine(init, coarse, cfg):
     for _ in range(cfg.max_iters):
         trace.iters_run += 1
         obj.gradient_into(grad, current)
-        if all(g.max() < 1e-15 and g.min() > -1e-15 for g in obj.blocks(grad)):  # |grad| < 1e-15
+        if all(g.max() < 1e-15 and g.min() > -1e-15 for g in grad):  # |grad| < 1e-15
             trace.converged = True
             break
         with np.errstate(over="ignore", invalid="ignore"):  # candidates may overflow

@@ -13,13 +13,13 @@ It takes that rfft2 as an rfft along the rows, block by block into one reused
 buffer (out=, numpy >= 2.0), and then an FFT down the columns in place:
 bitwise the same. Every profile comes from one power step, _profile, fed a
 half-spectrum in row blocks: the prediction's from _half_spectrum, and
-ralsd_upsampled_pair's upsampled coarse reference's from
+ralsd_upsampled_pair's untapered upsampled coarse reference's from
 grid_core.upsampled_rfft2. ralsd_upsampled_pair takes both on one band, the
 rows and columns of the half-spectrum whose on-axis radius is at most that of
 the fit range's last bin (_band): every k of smaller radius lies in it, so its
 profiles, which end at that bin, sum the same terms in the same order as
-ralsd's. ralsd raises on a constant field: its spectrum is the Hann taper's,
-or untapered rounding noise.
+ralsd's. A constant grid raises, the coarse one too: its spectrum is the Hann
+taper's, or untapered rounding noise.
 """
 
 import functools
@@ -230,11 +230,16 @@ def _profile(blocks, height, width, fit_lo, fit_hi, top=None):
     return profile
 
 
+def _check_varies(values):
+    """Raise on constant values: their spectrum is a taper's, or rounding noise."""
+    if np.ptp(values[0]) == 0 and np.ptp(values) == 0:  # row 0 settles most
+        raise DegenerateSpectrumError("zero power off DC: the grid is constant")
+
+
 def _ralsd(grid, fit_lo, fit_hi, window, top):
     """ralsd, binned up to top (see _fit_top)."""
     values = _spectrum_input(grid, window)
-    if np.ptp(grid.values[0]) == 0 and np.ptp(grid.values) == 0:  # row 0 settles most
-        raise DegenerateSpectrumError("zero power off DC: the grid is constant")
+    _check_varies(grid.values)
     return _profile(_half_spectrum(values, top), grid.height, grid.width, fit_lo, fit_hi, top)
 
 
@@ -271,22 +276,21 @@ def ralsd_pair(pred, ref, fit_lo=None, fit_hi=None, window=False):
 def ralsd_upsampled_pair(pair, fit_lo=None, fit_hi=None, window=False):
     """ralsd_pair(pair.fine, upsample_quadratic(pair.coarse, pair.scale_y,
     pair.scale_x), fit_lo, fit_hi, window), with both profiles ending at the fit
-    range's last bin. Untapered, both spectra are taken on the band of rows and
-    columns that bin reaches (_band, _fit_top), bitwise on those bins: the
-    prediction's through _half_spectrum, and the reference's block by block from
-    the coarse grid's own DFT (grid_core.upsampled_rfft2), so neither the
-    upsampled field nor a whole complex spectrum is built. A range that takes the
-    whole profile to judge, or window=True, bins every radius; a Hann taper breaks
-    the polyphase structure the reference rests on, so window=True upsamples. A
-    constant coarse grid, whose taper would give the reference the taper's slope
-    (and whose upsampled field is constant only to rounding), takes the untapered
-    path, exactly 0 off DC."""
+    range's last bin; a constant coarse grid raises like a constant prediction,
+    after the prediction's spectrum. Both spectra are taken on the band of rows
+    and columns that bin reaches (_band, _fit_top), bitwise on those bins: the
+    prediction's through _half_spectrum, and the untapered reference's block by
+    block from the coarse grid's own DFT (grid_core.upsampled_rfft2), so neither
+    the upsampled field nor a whole complex spectrum is built. A Hann taper breaks
+    the polyphase structure that DFT rests on, so window=True upsamples. A range
+    that takes the whole profile to judge bins every radius."""
     fine, coarse, scales = pair.fine, pair.coarse, (pair.scale_y, pair.scale_x)
-    top = None if window else _fit_top(min(fine.height, fine.width), fit_lo, fit_hi)
+    top = _fit_top(min(fine.height, fine.width), fit_lo, fit_hi)
     p_pred = _named("pred", _ralsd, fine, fit_lo, fit_hi, window, top)
-    if window and np.ptp(coarse.values) > 0:
-        return p_pred, _named("ref", ralsd, upsample_quadratic(coarse, *scales),
-                              p_pred.fit_lo, p_pred.fit_hi, window)
+    _named("ref", _check_varies, coarse.values)
+    if window:
+        return p_pred, _named("ref", _ralsd, upsample_quadratic(coarse, *scales),
+                              p_pred.fit_lo, p_pred.fit_hi, window, top)
     lead, trail, cols = _band(fine.height, fine.width, top)
     blocks = upsampled_rfft2(coarse, *scales, np.r_[:lead, fine.height - trail:fine.height],
                              cols)

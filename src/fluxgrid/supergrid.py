@@ -117,13 +117,12 @@ def build_partition(grid, cell_h, cell_w):
 
 @dataclass
 class Reach:
-    """S, the pixels the flux loss of part's cells reads and its adjoint writes:
-    each cell's first two and last two rows across the grid (the row block) and,
-    on the other rows, each cell's first two and last two columns (the side
-    block). rows and cols list those rows and columns in grid order, all of them
-    along an axis where the cells are 4 pixels or less."""
+    """S, the pixels the flux loss of a partition's cells reads and its adjoint
+    writes: each cell's first two and last two rows across the grid (the row
+    block) and, on the other rows, each cell's first two and last two columns.
+    rows and cols list those rows and columns in grid order, all of them along an
+    axis where the cells are 4 pixels or less."""
 
-    part: SupergridPartition
     rows: np.ndarray
     cols: np.ndarray
 
@@ -133,11 +132,7 @@ class Reach:
         for n, cell in ((part.n_rows, part.cell_h), (part.n_cols, part.cell_w)):
             lines = np.arange(n * cell)
             near.append(lines[(lines % cell < 2) | (lines % cell >= cell - 2)])
-        return cls(part, *near)
-
-    def side(self, cols):
-        """The side block of a column source: a view of each cell's rows off rows."""
-        return cols.reshape(self.part.n_rows, self.part.cell_h, -1)[:, 2:-2]
+        return cls(*near)
 
 
 @dataclass
@@ -352,9 +347,9 @@ class FluxRatioLoss:
 
     def forward_blocks(self, rows, cols):
         """forward of the field whose row lines are read from rows and column lines
-        from cols, unchecked: its values for both, or its rows and columns of
-        Reach.of(self.part_f), with the column source's rows of the row block
-        equal to it."""
+        from cols, unchecked: its values for both, or its rows and its columns of
+        Reach.of(self.part_f), whose own rows of the row block must hold the
+        field's values there, as the row lines' stencils read them."""
         rep = _fluxes(self.part_f, self._lines, rows, cols, *self._geometry[2:], self.eps,
                       self.ratio_eps, self.anomaly)
         self._sources, self._rep = (rows, cols), rep

@@ -299,9 +299,9 @@ class TestMetrics:
         assert main(["metrics", str(fp), str(const), str(cp)]) == 4
 
     def test_constant_coarse_names_the_ref_grid(self, tmp_path, capsys):
-        # the spectrum that fails is the upsampled coarse reference's. It has no
-        # power off DC at any scale; an upsampled field's rounding noise had some
-        # at scales 3 and 5, where metrics then fitted L_spec to that noise
+        # the coarse grid's values are checked, as the prediction's are: the
+        # upsampled field's rounding noise had power off DC at scales 3 and 5,
+        # where metrics once fitted L_spec to that noise
         const = tmp_path / "const.fgrd"
         for scale in (3, 4, 5):
             fp, _ = write_pair(tmp_path, h=16 * scale, w=16 * scale)
@@ -340,7 +340,7 @@ class TestMetrics:
         assert main(["metrics", str(fp), str(fp), str(const), "--cell", "4x4"]) == 4
         assert capsys.readouterr().err == (
             "warning: every coarse 4x4 cell has r_eff = 0, so L_flux ignores the coarse grid\n"
-            "error: ref grid: zero power inside fit bins [3, 15]; log fit undefined\n")
+            "error: ref grid: zero power off DC: the grid is constant\n")
 
     def test_flux_error_wins_over_spectral_error(self, tmp_path, capsys):
         fp, cp = write_pair(tmp_path)

@@ -419,14 +419,37 @@ class TestReach:
         got = np.zeros(mask.shape, dtype=bool)
         got[reach.rows] = got[:, reach.cols] = True
         assert np.array_equal(got, mask)
-        # the side block views the column source's rows off the row block
-        source = np.repeat(np.arange(mask.shape[0])[:, None], len(reach.cols), axis=1)
-        side = reach.side(source)
-        assert np.shares_memory(side, source) or side.size == 0
-        assert sorted(side[..., 0].ravel()) == sorted(set(range(len(mask))) - set(reach.rows))
+
+    # 16x16, 20x20 and 33x21 fine cells: the column source holds the row block's pixels
+    # at S's columns a second time, as scratch that each evaluation rewrites from the row
+    # block and that T - T_init and J's gradient hold as 0, so every pass takes it whole
+    @pytest.mark.parametrize("case", [REACH_CASES[i] for i in (6, 7, 11)])
+    @pytest.mark.parametrize("grad_mode", ["analytic", "numeric_central"])
+    def test_compact_scratch_is_the_row_block_and_zero(self, case, grad_mode):
+        init, coarse, kwargs, mask = reach_case(case, 105)
+        # J's rounding differs between the layouts; over 2 * fd_h = 2e3 it stays far
+        # below 1e-12 of each difference quotient, where over 2e-5 it would not
+        cfg = RefineConfig(lambda_pde=0.9, grad_mode=grad_mode, fd_h=1e3, **kwargs)
+        obj = _Objective(init, init, coarse, cfg, compact=True)
+        rows, cols = obj.reach.rows, obj.reach.cols
+        off = np.setdiff1d(np.arange(mask.shape[0]), rows)
+        rng = np.random.default_rng(106)
+        for _ in range(2):
+            fine = init.with_values(init.values + 0.3 * rng.normal(size=mask.shape) * mask)
+            x = obj.split(fine.values)
+            x[1][rows] = rng.normal(size=(len(rows), len(cols)))  # stale, as a candidate's
+            total = obj(x)[0]
+            assert np.array_equal(x[1][rows], x[0][:, cols])
+            assert np.all(obj._diff[1][rows] == 0.0)
+            assert total == pytest.approx(objective(fine, init, coarse, cfg)[0], rel=1e-12)
+            g = obj.gradient_into(tuple(np.full(b.shape, np.nan) for b in x), x)
+            assert np.all(g[1][rows] == 0.0)
+            want = gradient(fine, init, coarse, cfg)
+            for got, ref in ((g[0], want[rows]), (g[1][off], want[off][:, cols])):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     # 16x16, 20x20 and 33x21 fine cells leave over half the pixels off S, so refine
-    # iterates on S's two blocks; with S widened to every row it takes the whole grid
+    # iterates on S's rows and columns; with S widened to every row it takes the whole grid
     @pytest.mark.parametrize("case", [REACH_CASES[i] for i in (6, 7, 11)])
     def test_blocks_refine_as_the_whole_grid(self, monkeypatch, case):
         init, coarse, kwargs, _ = reach_case(case, 104)
@@ -437,7 +460,7 @@ class TestReach:
         class EveryRow(Reach):
             @classmethod
             def of(cls, part):
-                return Reach(part, np.arange(part.n_rows * part.cell_h), Reach.of(part).cols)
+                return Reach(np.arange(part.n_rows * part.cell_h), Reach.of(part).cols)
 
         monkeypatch.setattr(sys.modules["fluxgrid.refine"], "Reach", EveryRow)
         assert _Objective(init, init, coarse, cfg, compact=True).reach is None

@@ -358,6 +358,10 @@ def assert_matches_ralsd_pair(shape, scales, fit):
     assert got[1].intercept == pytest.approx(want[1].intercept, rel=1e-12)
 
 
+# a constant coarse grid fails as a constant prediction does, tapered or not
+CONSTANT_REF = "^ref grid: zero power off DC: the grid is constant$"
+
+
 class TestRalsdUpsampledPair:
     @pytest.mark.parametrize("fit", [(None, None), (2, 9)])
     @pytest.mark.parametrize("shape,scales", [((64, 64), (4, 4)), ((96, 60), (3, 2)),
@@ -397,12 +401,20 @@ class TestRalsdUpsampledPair:
         assert peak < 512 * (512 // 2 + 1) * 16
 
     def test_window_upsamples_bit_for_bit(self):
+        # both tapered spectra are taken on the band too, and bin what it returns
+        # as the whole spectrum does; 48x48: an end at bin 24 takes the whole profile
         pair = upsampled_pair((48, 48), (3, 3), 2)
-        want = ralsd_pair(pair.fine, upsample_quadratic(pair.coarse, 3, 3), window=True)
-        got = ralsd_upsampled_pair(pair, window=True)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.psi, w.psi)
-            assert (g.alpha, g.intercept) == (w.alpha, w.intercept)
+        for fit in [(None, None), (2, 9), (2, 23), (2, 24)]:
+            want = ralsd_pair(pair.fine, upsample_quadratic(pair.coarse, 3, 3), *fit,
+                              window=True)
+            got = ralsd_upsampled_pair(pair, *fit, window=True)
+            top = max(want[0].fit_lo, want[0].fit_hi) + 1
+            top = len(want[0].psi) if top > 48 // 2 else top
+            for g, w in zip(got, want):
+                assert (g.fit_lo, g.fit_hi, len(g.psi)) == (w.fit_lo, w.fit_hi, top)
+                for name in ("k_bins", "psi", "counts"):
+                    np.testing.assert_array_equal(getattr(g, name), getattr(w, name)[:top])
+                assert (g.alpha, g.intercept) == (w.alpha, w.intercept)
 
     @pytest.mark.parametrize("window", [False, True])
     @pytest.mark.parametrize("scale", [3, 4, 5])
@@ -410,7 +422,7 @@ class TestRalsdUpsampledPair:
         # tapered, a constant would carry the taper's own slope
         pair = upsampled_pair((16 * scale, 16 * scale), (scale, scale), 0)
         pair.coarse = grid(np.full((16, 16), 288.15))
-        with pytest.raises(DegenerateSpectrumError, match="^ref grid: zero power"):
+        with pytest.raises(DegenerateSpectrumError, match=CONSTANT_REF):
             ralsd_upsampled_pair(pair, window=window)
 
     @pytest.mark.parametrize("fit", [(2, 9), (2, 23), (2, 24), (None, 20)])
@@ -418,7 +430,7 @@ class TestRalsdUpsampledPair:
         # 48x48: bin 23 is radius 24 = n_short // 2, the band's last; bin 24 takes it whole
         pair = upsampled_pair((48, 48), (3, 3), 0)
         pair.coarse = grid(np.full((16, 16), 288.15))
-        with pytest.raises(DegenerateSpectrumError, match="^ref grid: zero power"):
+        with pytest.raises(DegenerateSpectrumError, match=CONSTANT_REF):
             ralsd_upsampled_pair(pair, *fit)
         pair.fine = grid(np.full((48, 48), 7.0))
         with pytest.raises(DegenerateSpectrumError, match="^pred grid: zero power off DC"):
