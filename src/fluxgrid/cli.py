@@ -195,27 +195,25 @@ def cmd_synth(args):
 
 
 class _Background(threading.Thread):
-    """Runs calls in order on a thread of its own and stops at the first that
-    raises. result(i) joins the thread, then returns call i's result or
-    re-raises the error that stopped the calls before it returned."""
+    """Runs call on a thread of its own. result() joins the thread, then
+    returns the call's result or re-raises the error it raised."""
 
-    def __init__(self, *calls):
+    def __init__(self, call):
         super().__init__()
-        self._calls, self._results, self._error = calls, [], None
+        self._call, self._result, self._error = call, None, None
         self.start()
 
     def run(self):
         try:
-            for call in self._calls:
-                self._results.append(call())
+            self._result = self._call()
         except BaseException as exc:  # handed to the joining thread
             self._error = exc
 
-    def result(self, index):
+    def result(self):
         self.join()
-        if index < len(self._results):
-            return self._results[index]
-        raise self._error
+        if self._error is not None:
+            raise self._error
+        return self._result
 
 
 def _timed(func, *args, **kwargs):
@@ -238,17 +236,16 @@ def _reference_verdict(coarse, r_eff):
 
 
 def cmd_metrics(args):
-    """The stages after loading run on two threads, the flux loss (which pairs
-    the grids itself) and then the hashes beside the pixel metrics, the pairing
-    and then the spectra, and report as the serial order would: load, pixel
-    metrics, pairing, flux, the warning, spectra, hashes. The earliest failing
-    stage's error wins."""
+    """After loading, the flux loss (which pairs the grids itself) runs on a
+    thread of its own beside the pixel metrics, the pairing and then the
+    spectra; the input hashes run last, on the main thread. The stages report
+    as the serial order would: load, pixel metrics, pairing, flux, the warning,
+    spectra, hashes. The earliest failing stage's error wins."""
     (pred, truth, coarse), t_load = _timed(_load_grids, args.pred, args.truth, args.coarse)
     background = _Background(
         lambda: _timed(lambda: pde_loss(GridPair.from_grids(coarse, pred), pred, eps=args.eps,
                                         cell_override=args.cell, ratio_eps=args.ratio_eps,
-                                        anomaly=args.anomaly)),
-        lambda: _timed(_input_hashes, args))
+                                        anomaly=args.anomaly)))
     try:
         report, t_metrics = _timed(metric_report, pred, truth)
         pair = GridPair.from_grids(coarse, pred)
@@ -262,9 +259,9 @@ def cmd_metrics(args):
         (prof_pred, prof_ref), t_spec = _timed(ralsd_upsampled_pair, pair, args.fit_lo,
                                                args.fit_hi, args.window)
     finally:  # a flux error, the earlier stage's, replaces a spectral one
-        flux, t_flux = background.result(0)
+        flux, t_flux = background.result()
         cell, degenerate = _reference_verdict(coarse, flux.coarse_report.r_eff)
-    inputs, t_hash = background.result(1)
+    inputs, t_hash = _timed(_input_hashes, args)
 
     report.l_flux, report.l_spec = flux.loss, abs(prof_pred.alpha - prof_ref.alpha)
     r_f = flux.fine_report.r_eff

@@ -378,12 +378,51 @@ class TestMetrics:
         assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{fp}'\n"
 
     @pytest.mark.parametrize("extra, code", [([], 0), (["--cell", "5x5", "--fit-lo=-3"], 3),
-                                             (["--fit-lo=-3"], 2)])
-    def test_no_thread_outlives_the_command(self, tmp_path, capsys, extra, code):
+                                             (["--fit-lo=-3"], 2), ([], 1)])
+    def test_no_thread_outlives_the_command(self, tmp_path, capsys, monkeypatch, extra, code):
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        if code == 1:  # the inputs cannot be hashed, the last stage
+            monkeypatch.setattr(cli, "_sha256", unreadable)
         fp, cp = write_pair(tmp_path)
         before = threading.active_count()
         assert main(["metrics", str(fp), str(fp), str(cp), *extra]) == code
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("stage", ["metric_report", "pde_loss"])
+    def test_an_error_outside_the_exit_table_propagates(self, tmp_path, monkeypatch, stage):
+        def broken(*args, **kwargs):
+            raise RuntimeError(stage)
+
+        monkeypatch.setattr(cli, stage, broken)  # pde_loss raises on the background thread
+        fp, cp = write_pair(tmp_path)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=stage):
+            main(["metrics", str(fp), str(fp), str(cp)])
+        assert threading.active_count() == before
+
+    def test_only_the_flux_loss_runs_off_the_main_thread(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(name, func):
+            def wrapper(*args, **kwargs):
+                on_main = threading.current_thread() is threading.main_thread()
+                calls.append((name, "call", on_main))
+                result = func(*args, **kwargs)
+                calls.append((name, "return", on_main))
+                return result
+            return wrapper
+
+        for name in ("_sha256", "pde_loss", "ralsd_upsampled_pair"):
+            monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+        fp, cp = write_pair(tmp_path)
+        assert main(["metrics", str(fp), str(fp), str(cp), "--cell", "4x4"]) == 0
+        assert {on_main for name, _, on_main in calls if name == "pde_loss"} == {False}
+        spectra_done = calls.index(("ralsd_upsampled_pair", "return", True))
+        hashes = [("_sha256", event, True) for _ in range(3) for event in ("call", "return")]
+        assert [call for call in calls if call[0] == "_sha256"] == hashes
+        assert [call for call in calls[spectra_done:] if call[0] == "_sha256"] == hashes
 
     def test_report_same_under_fast_thread_switching(self, tmp_path):
         fp, cp = write_pair(tmp_path, seed=3)
